@@ -62,7 +62,7 @@ test-obs:
 		tests/test_obs.py tests/test_obs_identity.py -q
 
 # The full statistical harness: RNG-quality chi-square / serial-correlation
-# sweeps and the deep cross-mode (compat/fast/vector) decision-consistency
+# sweeps and the deep cross-mode (compat/vector) decision-consistency
 # comparisons, plus the engine wiring smoke run.
 test-stats:
 	$(PYTHON) -m pytest tests/test_rng_quality.py tests/test_cross_mode_consistency.py --slow-stats -q

@@ -17,18 +17,19 @@ execution paths:
 - **engine compat** — ``VerificationPlan`` + ``estimate_acceptance_fast``
   with the legacy-identical RNG streams (bit-for-bit the same accept/reject
   decisions, asserted below);
-- **engine fast** — the same plan with SplitMix64 integer-mix RNG
-  derivation (statistically equivalent streams), scalar kernels;
-- **engine fast+numpy** — the same probability-space point as engine fast,
-  with the trial chunks executed by the vectorized kernels of
-  :mod:`repro.engine.kernels` (batched Horner passes for fingerprint
-  schemes, packed-``uint64`` GF(2) popcounts for the shared-coins scheme;
-  decision-identical to engine fast per trial, asserted below) — the draws
-  still replay ``random.Random`` scalar call by scalar call;
-- **engine vector** — ``rng_mode="vector"``: the counter-based SplitMix64
-  stream, where the *draws too* evaluate as one uint64 array op per chunk
-  (decision-identical to the scalar CounterRng path per trial, asserted
-  below) — the last per-trial Python loop gone.
+- **engine compat+numpy** — the compat plan with the trial chunks executed
+  by the vectorized kernels of :mod:`repro.engine.kernels` (batched Horner
+  passes for fingerprint schemes, packed-``uint64`` GF(2) popcounts for the
+  shared-coins scheme; decision-identical to the oracle per trial, asserted
+  below) — the draws still replay ``random.Random`` scalar call by scalar
+  call;
+- **engine vector-scalar** — ``rng_mode="vector"`` on the scalar hook path:
+  the counter-based SplitMix64 stream drawn one
+  :class:`~repro.core.seeding.CounterRng` call at a time;
+- **engine vector** — ``rng_mode="vector"`` with the vectorized kernels,
+  where the *draws too* evaluate as one uint64 array op per chunk
+  (decision-identical to the vector-scalar path per trial, asserted below)
+  — the last per-trial Python loop gone.
 
 A sixth measurement shards the vector-mode run across worker processes
 (:mod:`repro.parallel`) on the spanning-tree and shared-coins workloads —
@@ -104,12 +105,13 @@ NODE_COUNT = 200
 EXTRA_EDGES = 60
 MST_NODE_COUNT = 96
 REQUIRED_SPEEDUP = 5.0
-# The numpy chunk kernel must beat PR 1's scalar fast mode on at least one
-# workload by this factor (measured ~5-10x; the bar is low to absorb noise).
+# The numpy chunk kernels must beat the scalar hook path under the same
+# (vector) coins on at least one workload by this factor; the bar is low to
+# absorb noise.
 REQUIRED_VECTOR_SPEEDUP = 1.5
-# The counter-based vector rng must beat the fast+numpy path (same kernels,
-# scalar draws) on at least one workload: the draw loop is the cost it
-# eliminates.  Measured ~2-4x on the fingerprint workloads; low bar again.
+# The counter-based vector rng must beat the compat+numpy path (same
+# kernels, scalar draws) on at least one workload: the draw loop is the
+# cost it eliminates.  Low bar again.
 REQUIRED_VECTOR_RNG_SPEEDUP = 1.2
 # Process sharding must buy >= 2x wall-clock with 4 workers on the 200-node
 # spanning-tree workload — asserted only where 4 cores actually exist.
@@ -248,7 +250,7 @@ STREAMED_WORKLOADS = [
     ),
     (
         "noisy(spanning-tree)",
-        workload_spec("noisy-spanning-tree", rng_mode="fast", node_count=24),
+        workload_spec("noisy-spanning-tree", rng_mode="compat", node_count=24),
         20000,
         0.04,
     ),
@@ -316,7 +318,7 @@ ADAPTIVE_CELLS = [
     ),
     (
         "noisy(spanning-tree)",
-        workload_spec("noisy-spanning-tree", rng_mode="fast", node_count=24),
+        workload_spec("noisy-spanning-tree", rng_mode="compat", node_count=24),
     ),
 ]
 
@@ -458,11 +460,11 @@ def _measure(scheme, configuration, labels, randomness, legacy_trials, engine_tr
         ("engine-compat", engine_trials, lambda n: estimate_acceptance_fast(
             plan, n, seed=0
         )),
-        ("engine-fast", engine_trials, lambda n: estimate_acceptance_fast(
-            plan, n, seed=0, rng_mode="fast", vectorize=False
+        ("engine-compat+numpy", engine_trials, lambda n: estimate_acceptance_fast(
+            plan, n, seed=0, vectorize=True
         )),
-        ("engine-fast+numpy", engine_trials, lambda n: estimate_acceptance_fast(
-            plan, n, seed=0, rng_mode="fast", vectorize=True
+        ("engine-vector-scalar", engine_trials, lambda n: estimate_acceptance_fast(
+            plan, n, seed=0, rng_mode="vector", vectorize=False
         )),
         ("engine-vector", engine_trials, lambda n: estimate_acceptance_fast(
             plan, n, seed=0, rng_mode="vector", vectorize=True
@@ -480,9 +482,9 @@ def _assert_bit_identical(
     """Per-trial accept/reject equality across every execution path.
 
     Compat mode (scalar and vectorized) must match the one-shot reference
-    oracle; within fast and vector modes, the vectorized kernel must match
-    that mode's scalar kernel (each mode is its own probability-space
-    point, shared by its two kernels).
+    oracle; in vector mode, the vectorized kernel must match the scalar
+    CounterRng path (vector mode is its own probability-space point, shared
+    by its two kernels).
     """
     for trial in range(trials):
         trial_seed = derive_trial_seed(seed, trial)
@@ -492,12 +494,11 @@ def _assert_bit_identical(
         ).accepted
         assert plan.run_trial(trial_seed) == reference, trial
         assert bool(plan.run_trials([trial_seed], vectorize=True)) == reference, trial
-        for rng_mode in ("fast", "vector"):
-            scalar = plan.run_trial(trial_seed, rng_mode=rng_mode)
-            vectorized = bool(
-                plan.run_trials([trial_seed], rng_mode=rng_mode, vectorize=True)
-            )
-            assert vectorized == scalar, (rng_mode, trial)
+        scalar = plan.run_trial(trial_seed, rng_mode="vector")
+        vectorized = bool(
+            plan.run_trials([trial_seed], rng_mode="vector", vectorize=True)
+        )
+        assert vectorized == scalar, trial
     return True
 
 
@@ -556,9 +557,9 @@ def test_engine_throughput(benchmark, report):
         plan, rates, samples = _measure(
             scheme, configuration, labels, randomness, legacy_trials, engine_trials
         )
-        legacy, compat, fast, vector, vector_rng = (
-            rates["legacy"], rates["engine-compat"], rates["engine-fast"],
-            rates["engine-fast+numpy"], rates["engine-vector"],
+        legacy, compat, compat_numpy, scalar, vector = (
+            rates["legacy"], rates["engine-compat"], rates["engine-compat+numpy"],
+            rates["engine-vector-scalar"], rates["engine-vector"],
         )
         assert plan.uses_fast_path and plan.vector_ready
         identical = _assert_bit_identical(
@@ -570,12 +571,12 @@ def test_engine_throughput(benchmark, report):
                 plan.half_edge_count,
                 f"{legacy:.1f}",
                 f"{compat:.1f}",
-                f"{fast:.1f}",
+                f"{compat_numpy:.1f}",
+                f"{scalar:.1f}",
                 f"{vector:.1f}",
-                f"{vector_rng:.1f}",
-                f"{fast / legacy:.1f}x",
-                f"{vector / fast:.1f}x",
-                f"{vector_rng / vector:.1f}x",
+                f"{compat / legacy:.1f}x",
+                f"{vector / scalar:.1f}x",
+                f"{vector / compat_numpy:.1f}x",
             ]
         )
         results.append(
@@ -585,16 +586,15 @@ def test_engine_throughput(benchmark, report):
                 "half_edges": plan.half_edge_count,
                 "legacy_trials_per_sec": round(legacy, 1),
                 "engine_compat_trials_per_sec": round(compat, 1),
-                "engine_fast_trials_per_sec": round(fast, 1),
-                "engine_vector_trials_per_sec": round(vector, 1),
-                "engine_vector_rng_trials_per_sec": round(vector_rng, 1),
+                "engine_compat_numpy_trials_per_sec": round(compat_numpy, 1),
+                "engine_vector_scalar_trials_per_sec": round(scalar, 1),
+                "engine_vector_rng_trials_per_sec": round(vector, 1),
                 "speedup_compat": round(compat / legacy, 2),
-                "speedup_fast": round(fast / legacy, 2),
-                "speedup_vector": round(vector / legacy, 2),
-                "speedup_vector_rng": round(vector_rng / legacy, 2),
-                "vector_vs_fast": round(vector / fast, 2),
-                "vector_rng_vs_fast": round(vector_rng / fast, 2),
-                "vector_rng_vs_fast_numpy": round(vector_rng / vector, 2),
+                "speedup_compat_numpy": round(compat_numpy / legacy, 2),
+                "speedup_vector_scalar": round(scalar / legacy, 2),
+                "speedup_vector_rng": round(vector / legacy, 2),
+                "vector_vs_scalar": round(vector / scalar, 2),
+                "vector_vs_compat_numpy": round(vector / compat_numpy, 2),
                 "samples": samples,
                 "bit_identical": identical,
             }
@@ -617,12 +617,12 @@ def test_engine_throughput(benchmark, report):
                 "half-edges",
                 "legacy/s",
                 "compat/s",
-                "fast/s",
-                "fast+numpy/s",
+                "compat+numpy/s",
+                "vector-scalar/s",
                 "vector/s",
-                "fast",
+                "compat",
                 "numpy gain",
-                "vector gain",
+                "draw gain",
             ],
             rows,
         )
@@ -659,23 +659,24 @@ def test_engine_throughput(benchmark, report):
     )
 
     # The acceptance bar: the bit-identical batched path clears 5x on at
-    # least one workload, the numpy kernel path clears its margin over the
-    # scalar fast mode, the counter-based vector rng clears its margin over
-    # fast+numpy (the draw loop it eliminates), and every workload agrees
-    # with the reference oracle decision-for-decision on every path.
+    # least one workload, the numpy kernels clear their margin over the
+    # scalar path under the same vector coins, the counter-based vector rng
+    # clears its margin over compat+numpy (the draw loop it eliminates), and
+    # every workload agrees with the reference oracle decision-for-decision
+    # on every path.
     assert all(result["bit_identical"] for result in results)
     assert max(result["speedup_compat"] for result in results) >= REQUIRED_SPEEDUP
     assert (
-        max(result["vector_vs_fast"] for result in results)
+        max(result["vector_vs_scalar"] for result in results)
         >= REQUIRED_VECTOR_SPEEDUP
     )
     assert (
-        max(result["vector_rng_vs_fast_numpy"] for result in results)
+        max(result["vector_vs_compat_numpy"] for result in results)
         >= REQUIRED_VECTOR_RNG_SPEEDUP
     )
-    # The shared-coins popcount kernel must beat its scalar fast mode.
+    # The shared-coins popcount kernel must beat its scalar path.
     shared_result = next(r for r in results if r["randomness"] == "shared")
-    assert shared_result["vector_vs_fast"] >= REQUIRED_VECTOR_SPEEDUP
+    assert shared_result["vector_vs_scalar"] >= REQUIRED_VECTOR_SPEEDUP
 
     # Sharding: every sharded run was verdict-identical to single-process
     # (asserted inside measure_sharded); the wall-clock bar only applies

@@ -39,10 +39,14 @@ DEFAULT_SNAPSHOT = Path("BENCH_engine.json")
 KernelKey = Tuple[str, str, str]
 
 # Snapshot columns -> history modes: (mode, trials/sec field, speedup field).
-# ``legacy`` is the reference oracle, so its speedup is identically 1.
+# ``legacy`` is the reference oracle, so its speedup is identically 1.  The
+# two ``engine-fast`` modes only occur in snapshots recorded while the engine
+# still had ``rng_mode="fast"``; their columns are absent from newer ones.
 _SNAPSHOT_MODES = (
     ("legacy", "legacy_trials_per_sec", None),
     ("engine-compat", "engine_compat_trials_per_sec", "speedup_compat"),
+    ("engine-compat+numpy", "engine_compat_numpy_trials_per_sec", "speedup_compat_numpy"),
+    ("engine-vector-scalar", "engine_vector_scalar_trials_per_sec", "speedup_vector_scalar"),
     ("engine-fast", "engine_fast_trials_per_sec", "speedup_fast"),
     ("engine-fast+numpy", "engine_vector_trials_per_sec", "speedup_vector"),
     ("engine-vector", "engine_vector_rng_trials_per_sec", "speedup_vector_rng"),

@@ -9,12 +9,12 @@ and its boosted wrapper — those loops share their coefficient vectors across
 every trial of a Monte-Carlo chunk, so the whole chunk collapses to a few
 batched :func:`repro.substrates.gf.poly_eval_rows` passes:
 
-1. **draw** — in ``rng_mode="compat"`` and ``"fast"`` the chunk's query
-   points are drawn with the *same* ``random.Random`` calls, in the *same*
-   order, as the scalar hook path (Horner evaluation consumes no randomness,
-   so deferring it cannot change any draw).  This is what keeps the kernel
-   decision-identical per trial: in compat mode to the legacy one-shot
-   oracle, in fast mode to the scalar fast path.  In ``rng_mode="vector"``
+1. **draw** — in ``rng_mode="compat"`` the chunk's query points are drawn
+   with the *same* ``random.Random`` calls, in the *same* order, as the
+   scalar hook path (Horner evaluation consumes no randomness, so deferring
+   it cannot change any draw).  This is what keeps the kernel
+   decision-identical per trial to the legacy one-shot oracle.  In
+   ``rng_mode="vector"``
    the draws come from the counter-based SplitMix64 stream of
    :mod:`repro.core.seeding`, whose word ``k`` is a closed-form function of
    ``(stream seed, k)`` — the entire chunk's points evaluate as **one**
@@ -66,11 +66,11 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.fingerprint import FingerprintVectorSpec
 from repro.core.scheme import SHARED_RNG_SUFFIX
 from repro.core.seeding import (
-    derive_stream_seed,
     derive_stream_seed_array,
     stream_words,
 )
 from repro.core.shared import ParityVectorSpec
+from repro.engine.plan import check_rng_mode
 from repro.substrates.gf import (
     WORD_BITS,
     gf2_inner_parities,
@@ -370,18 +370,18 @@ def run_chunk(plan, trial_seeds, rng_mode: Optional[str] = None):
 # its (rng_mode, randomness) pair: same seeds, same reseed boundaries, same
 # randrange arguments, same order.  The only difference is that the Horner
 # evaluation between draws is deferred — it consumes no randomness.  Compat
-# and fast modes necessarily replay random.Random call by call; vector mode
-# has no sequential generator at all, so its draw stage is a single
-# stream_words broadcast with zero per-point Python iterations.
+# mode necessarily replays random.Random call by call; vector mode has no
+# sequential generator at all, so its draw stage is a single stream_words
+# broadcast with zero per-point Python iterations.
 
 
 def _vector_bases(plan, trial_seeds):
     """Per-trial stream seeds for vector mode — the chunk's base array.
 
-    Edge/node randomness feeds one sequential stream per trial (the same
-    ``derive_stream_seed(trial_seed, 0, 0)`` addressing as fast mode);
-    shared randomness uses the public stream address.  Legacy-mode trial
-    seeds may be negative, hence the mask before the uint64 conversion.
+    Edge/node randomness feeds one sequential stream per trial (the
+    ``derive_stream_seed(trial_seed, 0, 0)`` address of the scalar hook
+    path); shared randomness uses the public stream address.  The mask
+    reduces arbitrary Python ints before the uint64 conversion.
     """
     masked = [seed & _MASK64 for seed in trial_seeds]
     if plan.randomness == "shared":
@@ -410,47 +410,29 @@ def _draw_points(plan, state: _VectorState, trial_seeds, rng_mode: str):
     randrange = rng.randrange
     draw_range = range(draws)
 
-    if rng_mode == "compat":
-        for trial_seed in trial_seeds:
-            prefix = str(trial_seed)
-            if randomness == "edge":
-                for suffixes, prime in zip(plan.port_suffixes, primes):
-                    for suffix in suffixes:
-                        reseed(prefix + suffix)
-                        for _ in draw_range:
-                            append(randrange(prime))
-            elif randomness == "node":
-                for i, prime in enumerate(primes):
-                    reseed(prefix + plan.node_suffixes[i])
-                    for _ in range(degrees[i] * draws):
+    check_rng_mode(rng_mode)
+    for trial_seed in trial_seeds:
+        prefix = str(trial_seed)
+        if randomness == "edge":
+            for suffixes, prime in zip(plan.port_suffixes, primes):
+                for suffix in suffixes:
+                    reseed(prefix + suffix)
+                    for _ in draw_range:
                         append(randrange(prime))
-            elif randomness == "shared":
-                shared_key = prefix + SHARED_RNG_SUFFIX
-                for i, prime in enumerate(primes):
-                    for _ in range(degrees[i]):
-                        reseed(shared_key)
-                        for _ in draw_range:
-                            append(randrange(prime))
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-    elif rng_mode == "fast":
-        for trial_seed in trial_seeds:
-            if randomness in ("edge", "node"):
-                reseed(derive_stream_seed(trial_seed, 0, 0))
-                for i, prime in enumerate(primes):
-                    for _ in range(degrees[i] * draws):
+        elif randomness == "node":
+            for i, prime in enumerate(primes):
+                reseed(prefix + plan.node_suffixes[i])
+                for _ in range(degrees[i] * draws):
+                    append(randrange(prime))
+        elif randomness == "shared":
+            shared_key = prefix + SHARED_RNG_SUFFIX
+            for i, prime in enumerate(primes):
+                for _ in range(degrees[i]):
+                    reseed(shared_key)
+                    for _ in draw_range:
                         append(randrange(prime))
-            elif randomness == "shared":
-                shared_seed = derive_stream_seed(trial_seed, -1, -1)
-                for i, prime in enumerate(primes):
-                    for _ in range(degrees[i]):
-                        reseed(shared_seed)
-                        for _ in draw_range:
-                            append(randrange(prime))
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-    else:
-        raise ValueError(f"unknown rng_mode {rng_mode!r}")
+        else:  # pragma: no cover - guarded upstream
+            raise ValueError(f"unknown randomness mode {randomness!r}")
 
     return _np.asarray(flat, dtype=_np.int64).reshape(
         len(trial_seeds), plan.half_edge_count, draws
@@ -464,8 +446,8 @@ def _draw_masks(plan, state: _ParityState, trial_seeds, rng_mode: str):
     """The chunk's public masks, packed: a (trials, t, words) uint64 array.
 
     Every sender of a trial re-derives the same masks from the shared
-    stream, so one draw per trial covers the whole round.  Compat and fast
-    modes replay ``random.Random.getrandbits`` mask by mask; vector mode
+    stream, so one draw per trial covers the whole round.  Compat mode
+    replays ``random.Random.getrandbits`` mask by mask; vector mode
     evaluates the counter-based stream in one broadcast, truncating the top
     word exactly as :meth:`CounterRng.getrandbits` does.
     """
@@ -481,19 +463,12 @@ def _draw_masks(plan, state: _ParityState, trial_seeds, rng_mode: str):
         packed[:, :, words - 1] &= _np.uint64((1 << top) - 1)
         return packed
 
+    check_rng_mode(rng_mode)
     masks: List[List[int]] = []
-    if rng_mode == "compat":
-        for trial_seed in trial_seeds:
-            rng = random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}")
-            for _ in range(t):
-                masks.append(pack_value_words(rng.getrandbits(width), width))
-    elif rng_mode == "fast":
-        for trial_seed in trial_seeds:
-            rng = random.Random(derive_stream_seed(trial_seed, -1, -1))
-            for _ in range(t):
-                masks.append(pack_value_words(rng.getrandbits(width), width))
-    else:
-        raise ValueError(f"unknown rng_mode {rng_mode!r}")
+    for trial_seed in trial_seeds:
+        rng = random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}")
+        for _ in range(t):
+            masks.append(pack_value_words(rng.getrandbits(width), width))
     return _np.asarray(masks, dtype=_np.uint64).reshape(len(trial_seeds), t, words)
 
 

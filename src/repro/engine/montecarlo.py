@@ -11,27 +11,26 @@ vectorized numpy trial-chunk kernel of :mod:`repro.engine.kernels`.
 Bit-identical vs. statistically equivalent
 ------------------------------------------
 
-- **Bit-identical** (default ``rng_mode="compat"``, ``seed_mode="mix"``):
-  trial ``i`` runs with seed ``derive_trial_seed(seed, i)`` in both paths,
-  and ``plan.run_trial`` reproduces the legacy RNG streams exactly, so the
-  two paths agree on every individual accept/reject decision — the property
-  tests assert this per trial, not just on the final counts.  The vectorized
-  kernel preserves this: it draws the same coins in the same order and only
+The engine has two coin derivations (``rng_mode``), two points of the
+same probability space:
+
+- **Bit-identical** (default ``rng_mode="compat"``): trial ``i`` runs with
+  seed ``derive_trial_seed(seed, i)`` in both paths, and ``plan.run_trial``
+  reproduces the legacy RNG streams exactly, so the two paths agree on
+  every individual accept/reject decision — the property tests assert this
+  per trial, not just on the final counts.  The vectorized kernel
+  preserves this: it draws the same coins in the same order and only
   batches the (randomness-free) field arithmetic.
-- **Statistically equivalent** (``rng_mode="fast"``): per-stream seeds come
-  from the SplitMix64 integer mix instead of string hashing, so the same
-  seed lands on a *different* point of the same probability space — every
-  distributional statement (acceptance probability, soundness error) is
-  unchanged, but individual decisions differ from compat mode.  Within fast
-  mode, the scalar and vectorized kernels are again decision-identical to
-  each other per trial.
 - **Statistically equivalent, fully batched** (``rng_mode="vector"``): the
-  counter-based SplitMix64 stream of :mod:`repro.core.seeding` — yet
-  another point of the same space, chosen so the *draws themselves* (not
-  just the arithmetic) evaluate as one numpy array op per chunk.  The
-  scalar :class:`~repro.core.seeding.CounterRng` path and the numpy kernel
-  are bit-identical per trial; the cross-mode consistency suite pins all
-  three modes to the same acceptance probability within Wilson tolerance.
+  counter-based SplitMix64 stream of :mod:`repro.core.seeding`, chosen so
+  the *draws themselves* (not just the arithmetic) evaluate as one numpy
+  array op per chunk.  The same seed lands on a *different* point of the
+  same probability space — every distributional statement (acceptance
+  probability, soundness error) is unchanged, but individual decisions
+  differ from compat mode.  The scalar
+  :class:`~repro.core.seeding.CounterRng` path and the numpy kernel are
+  bit-identical per trial; the cross-mode consistency suite pins both
+  modes to the same acceptance probability within Wilson tolerance.
 
 Wilson early exit
 -----------------
@@ -78,7 +77,6 @@ def estimate_acceptance_fast(
     trials: int,
     seed: int = 0,
     rng_mode: Optional[RngMode] = None,
-    seed_mode: str = "mix",
     chunk_size: int = DEFAULT_CHUNK,
     chunk_schedule: Optional[object] = None,
     stop_halfwidth: Optional[float] = None,
@@ -110,12 +108,10 @@ def estimate_acceptance_fast(
     ``chunk_size`` applies, bit-for-bit the historical behaviour.
 
     ``rng_mode=None`` (default) uses the plan's compiled default mode.
-    ``seed_mode="legacy"`` reproduces the pre-SplitMix64 per-trial seeds
-    (``hash((seed, trial))``) for comparison against historical results.
 
     ``vectorize`` selects the numpy trial-chunk kernel: ``None`` (default)
-    uses it automatically in ``rng_mode="fast"`` / ``"vector"`` whenever
-    the plan supports it (``plan.vector_ready``), ``True`` requires it (raising
+    uses it automatically in ``rng_mode="vector"`` whenever the plan
+    supports it (``plan.vector_ready``), ``True`` requires it (raising
     :class:`ValueError` on unsupported plans — useful in tests and
     benchmarks that must not silently fall back), ``False`` forces the
     scalar path.  The kernel never changes decisions, only throughput.
@@ -163,7 +159,7 @@ def estimate_acceptance_fast(
     if rng_mode is None:
         rng_mode = plan.rng_mode
     if vectorize is None:
-        use_vector = rng_mode in ("fast", "vector") and plan.vector_ready
+        use_vector = rng_mode == "vector" and plan.vector_ready
     elif vectorize:
         if not plan.vector_ready and plan.constant_verdict is None:
             raise ValueError(
@@ -173,10 +169,6 @@ def estimate_acceptance_fast(
         use_vector = True
     else:
         use_vector = False
-
-    from repro.core.seeding import resolve_trial_seed
-
-    resolve_trial_seed(seed_mode)  # validate the mode before any work
 
     if plan.constant_verdict is not None:
         accepted = trials if plan.constant_verdict else 0
@@ -203,9 +195,7 @@ def estimate_acceptance_fast(
         else:
             chunk = min(chunk_size, trials - done)
         accepted += plan.run_trials(
-            trial_seed_slice(
-                seed, first_trial + done, first_trial + done + chunk, seed_mode
-            ),
+            trial_seed_slice(seed, first_trial + done, first_trial + done + chunk),
             rng_mode=rng_mode,
             vectorize=use_vector,
         )

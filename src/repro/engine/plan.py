@@ -114,14 +114,22 @@ from repro.core.verifier import RandomnessMode
 from repro.graphs.port_graph import Node
 
 # "compat": legacy string-seeded streams, bit-identical to the one-shot
-# oracle.  "fast": sequential SplitMix64-seeded random.Random streams.
-# "vector": the counter-based SplitMix64 stream (repro.core.seeding), whose
-# draws are a closed-form function of (stream seed, counter) — the only mode
-# whose query points batch as one numpy array op per chunk.  The scalar and
-# vectorized executions of any one mode are decision-identical per trial;
-# the three modes are distinct points of the same probability space.
+# oracle.  "vector": the counter-based SplitMix64 stream (repro.core.seeding),
+# whose draws are a closed-form function of (stream seed, counter), so a
+# chunk's query points batch as one numpy array op.  The scalar and
+# vectorized executions of either mode are decision-identical per trial;
+# the two modes are distinct points of the same probability space.
 RngMode = str
-RNG_MODES = ("compat", "fast", "vector")
+RNG_MODES = ("compat", "vector")
+
+
+def check_rng_mode(rng_mode: str) -> None:
+    """Raise ValueError, naming the valid modes, unless ``rng_mode`` is one."""
+    if rng_mode not in RNG_MODES:
+        raise ValueError(
+            f"unknown rng_mode {rng_mode!r} (choose from {', '.join(RNG_MODES)})"
+        )
+
 
 _EMPTY = BitString.empty()
 
@@ -155,8 +163,7 @@ class VerificationPlan:
         randomness: RandomnessMode,
         rng_mode: RngMode = "compat",
     ):
-        if rng_mode not in RNG_MODES:
-            raise ValueError(f"unknown rng_mode {rng_mode!r}")
+        check_rng_mode(rng_mode)
         self.scheme = scheme
         self.configuration = configuration
         self.labels = labels
@@ -306,57 +313,25 @@ class VerificationPlan:
 
     # -- per-trial RNG derivation ---------------------------------------------
 
-    def _edge_rngs(self, trial_seed: int, rng_mode: RngMode) -> List[random.Random]:
-        """One generator per half-edge, flat-indexed, for the current mode."""
+    def _edge_rngs(self, trial_seed: int) -> List[random.Random]:
+        """One compat-mode generator per half-edge, flat-indexed."""
         Random = random.Random
         randomness = self.randomness
+        prefix = str(trial_seed)
         rngs: List[random.Random] = []
-        if rng_mode == "compat":
-            prefix = str(trial_seed)
-            if randomness == "edge":
-                for suffixes in self.port_suffixes:
-                    rngs.extend(Random(prefix + suffix) for suffix in suffixes)
-            elif randomness == "node":
-                for i, degree in enumerate(self.degrees):
-                    rng = Random(prefix + self.node_suffixes[i])
-                    rngs.extend(rng for _ in range(degree))
-            elif randomness == "shared":
-                shared_key = prefix + SHARED_RNG_SUFFIX
-                rngs.extend(
-                    Random(shared_key) for _ in range(self.half_edge_count)
-                )
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-        elif rng_mode == "fast":
-            if randomness == "edge":
-                for i, degree in enumerate(self.degrees):
-                    rngs.extend(
-                        Random(derive_stream_seed(trial_seed, i, port))
-                        for port in range(degree)
-                    )
-            elif randomness == "node":
-                for i, degree in enumerate(self.degrees):
-                    rng = Random(derive_stream_seed(trial_seed, i, -1))
-                    rngs.extend(rng for _ in range(degree))
-            elif randomness == "shared":
-                shared_seed = derive_stream_seed(trial_seed, -1, -1)
-                rngs.extend(
-                    Random(shared_seed) for _ in range(self.half_edge_count)
-                )
-            else:  # pragma: no cover - guarded upstream
-                raise ValueError(f"unknown randomness mode {randomness!r}")
-        else:
-            raise ValueError(f"unknown rng_mode {rng_mode!r}")
+        if randomness == "edge":
+            for suffixes in self.port_suffixes:
+                rngs.extend(Random(prefix + suffix) for suffix in suffixes)
+        elif randomness == "node":
+            for i, degree in enumerate(self.degrees):
+                rng = Random(prefix + self.node_suffixes[i])
+                rngs.extend(rng for _ in range(degree))
+        elif randomness == "shared":
+            shared_key = prefix + SHARED_RNG_SUFFIX
+            rngs.extend(Random(shared_key) for _ in range(self.half_edge_count))
+        else:  # pragma: no cover - guarded upstream
+            raise ValueError(f"unknown randomness mode {randomness!r}")
         return rngs
-
-    def _shared_verifier_rng(
-        self, trial_seed: int, rng_mode: RngMode
-    ) -> Optional[random.Random]:
-        if self.randomness != "shared":
-            return None
-        if rng_mode == "compat":
-            return random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}")
-        return random.Random(derive_stream_seed(trial_seed, -1, -1))
 
     # -- execution -------------------------------------------------------------
 
@@ -367,15 +342,12 @@ class VerificationPlan:
         unless the plan was built otherwise).  ``"compat"`` derives the
         exact RNG streams of :func:`~repro.core.verifier.verify_randomized`,
         so the decision is bit-identical to
-        ``verify_randomized(..., seed=trial_seed)``.  ``"fast"`` swaps the
-        string-seeded derivation for the SplitMix64 integer mix of
-        :mod:`repro.core.seeding` — statistically equivalent streams at a
-        fraction of the derivation cost, but a *different* probability-space
-        point for the same seed.  ``"vector"`` draws through the
-        counter-based stream (:class:`~repro.core.seeding.CounterRng` here;
-        one numpy array op per chunk in the vectorized kernels) — again the
-        same probability space at yet another point; it requires the hook
-        fast path, whose certificate generators draw only via
+        ``verify_randomized(..., seed=trial_seed)``.  ``"vector"`` draws
+        through the counter-based SplitMix64 stream
+        (:class:`~repro.core.seeding.CounterRng` here; one numpy array op per
+        chunk in the vectorized kernels) — the same probability space at a
+        *different* point for the same seed; it requires the hook fast path,
+        whose certificate generators draw only via
         ``randrange``/``getrandbits``.
         """
         if rng_mode is None:
@@ -442,16 +414,15 @@ class VerificationPlan:
                         flat += 1
             else:  # pragma: no cover - guarded upstream
                 raise ValueError(f"unknown randomness mode {randomness!r}")
-        elif rng_mode in ("fast", "vector"):
+        elif rng_mode == "vector":
             if randomness in ("edge", "node"):
-                # One SplitMix64-seeded stream feeds every certificate in
+                # One counter-based stream feeds every certificate in
                 # sequence.  Consecutive draws of one stream are as
                 # independent as draws of derived per-port streams, so the
                 # round's acceptance distribution is unchanged — only the
-                # (seed -> coins) mapping differs from compat mode.  Vector
-                # mode keeps the identical seed addressing over the
-                # counter-based stream, so its kernel draws line up with
-                # this loop position for position.
+                # (seed -> coins) mapping differs from compat mode.  The
+                # numpy kernels address the same stream, so their draws
+                # line up with this loop position for position.
                 reseed(derive_stream_seed(trial_seed, 0, 0))
                 flat = 0
                 for context, degree in zip(contexts, self.degrees):
@@ -475,7 +446,7 @@ class VerificationPlan:
             else:  # pragma: no cover - guarded upstream
                 raise ValueError(f"unknown randomness mode {randomness!r}")
         else:
-            raise ValueError(f"unknown rng_mode {rng_mode!r}")
+            check_rng_mode(rng_mode)
 
         engine_verify = scheme.engine_verify
         shared = randomness == "shared"
@@ -508,8 +479,9 @@ class VerificationPlan:
                 "rng_mode='vector' requires the engine hook fast path "
                 f"({self.scheme.name} has no engine hooks)"
             )
+        check_rng_mode(rng_mode)
         scheme = self.scheme
-        rngs = self._edge_rngs(trial_seed, rng_mode)
+        rngs = self._edge_rngs(trial_seed)
         certificate = scheme.certificate
 
         certificates: List[BitString] = [_EMPTY] * self.half_edge_count
@@ -534,7 +506,7 @@ class VerificationPlan:
                 own_label=view.own_label,
                 messages=tuple(certificates[j] for j in self.incoming[i]),
                 shared_rng=(
-                    self._shared_verifier_rng(trial_seed, rng_mode)
+                    random.Random(f"{trial_seed}{SHARED_RNG_SUFFIX}")
                     if shared
                     else None
                 ),

@@ -111,7 +111,8 @@ def summarize_runs(trace: Trace) -> List[Dict]:
     """Per-run rollup: attempts, retries, faults, chunk timing.
 
     Each entry describes one *run* span.  Attempt history comes from
-    parent-side supervision events (crash-proof); chunk statistics from
+    parent-side supervision events (crash-proof), or for an unsupervised
+    run from its shard spans, one attempt each; chunk statistics from
     the worker-side chunk spans; injected faults from the chaos events.
     """
     rollups: Dict[str, Dict] = {}
@@ -181,6 +182,23 @@ def summarize_runs(trace: Trace) -> List[Dict]:
         elif name == "chaos.inject":
             fault = attrs.get("fault", "?")
             rollup["faults"][fault] = rollup["faults"].get(fault, 0) + 1
+
+    # An unsupervised run emits no dispatch events: each of its shard spans
+    # is the one attempt that shard got.
+    supervised = {run_id for run_id, rollup in rollups.items() if rollup["dispatches"]}
+    for shard in trace.named("shard"):
+        run = trace.ancestor(shard, "run")
+        if run is None or run["id"] not in rollups or run["id"] in supervised:
+            continue
+        rollup = rollups[run["id"]]
+        rollup["attempts"].append(
+            {
+                "shard": (shard.get("attrs") or {}).get("shard"),
+                "attempt": 0,
+                "ts": shard.get("ts"),
+            }
+        )
+        rollup["dispatches"] += 1
 
     for chunk in trace.named("chunk"):
         run = trace.ancestor(chunk, "run")

@@ -53,6 +53,7 @@ from repro.parallel.executors import (
 )
 from repro.parallel.factories import workload_spec
 from repro.parallel.spec import PlanSpec
+from repro.simulation.metrics import AcceptanceEstimate
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class Campaign:
         size kwargs: ``("spanning-tree", {"node_count": 200})``.
 
         >>> len(Campaign.sweep("s", ["spanning-tree", "shared-coins"],
-        ...                    rng_modes=("fast", "vector"),
+        ...                    rng_modes=("compat", "vector"),
         ...                    trial_budgets=(100, 1000)).cells)
         8
         """
@@ -235,93 +236,6 @@ class JsonlSink:
             self._keys.add(record.get("cell_key"))
 
 
-def _run_cell(
-    campaign: Campaign,
-    cell: Cell,
-    instance,
-    planner: Optional[ShardPlanner],
-    chunk_size: int,
-    chunk_policy,
-    vectorize: Optional[bool],
-    stream_progress: bool,
-    shard_timeout: Optional[float] = None,
-    max_retries: int = 0,
-    trace_parent: Optional[str] = None,
-) -> Dict:
-    """Execute one cell on the shared executor and build its record.
-
-    ``trace_parent`` is the campaign span's id, passed explicitly because
-    concurrent cells run on scheduler threads where the recorder's
-    thread-local span stack cannot see the campaign span.  The *cell* span
-    opened here lives on the executing thread's stack, so the run span
-    inside the estimator parents onto it automatically.
-    """
-    recorder = get_recorder()
-    cell_attrs = None
-    if recorder.enabled:
-        cell_attrs = {
-            "key": cell.name,
-            "campaign": campaign.name,
-            "trials": cell.trials,
-            "seed": cell.seed,
-        }
-    start = time.perf_counter()
-    with recorder.span("cell", cell_attrs, parent=trace_parent) as cell_span:
-        sharded = estimate_acceptance_sharded(
-            cell.spec,
-            cell.trials,
-            seed=cell.seed,
-            executor=instance,
-            planner=planner,
-            chunk_size=chunk_size,
-            chunk_policy=chunk_policy,
-            stop_halfwidth=cell.stop_halfwidth,
-            vectorize=vectorize,
-            stream_progress=stream_progress,
-            shard_timeout=shard_timeout,
-            max_retries=max_retries,
-        )
-        cell_span.set("trials_run", sharded.estimate.trials)
-        cell_span.set("stopped_early", sharded.stopped_early)
-    elapsed = time.perf_counter() - start
-    estimate = sharded.estimate
-    # Zero-trial estimates report nan probability/interval directly (a
-    # pre-satisfied stop can legitimately produce them); no guards needed.
-    low, high = estimate.interval
-    record = {
-        "campaign": campaign.name,
-        "cell": cell.name,
-        "cell_key": cell.key(),
-        "status": "ok",
-        **cell.spec.describe(),
-        "requested_trials": cell.trials,
-        "trials": estimate.trials,
-        "accepted": estimate.accepted,
-        "probability": estimate.probability,
-        "wilson_low": low,
-        "wilson_high": high,
-        "stopped_early": sharded.stopped_early,
-        "streamed": sharded.streamed,
-        "shards": sharded.shards,
-        "executor": sharded.executor,
-        "workers": sharded.workers,
-        "elapsed_sec": round(elapsed, 6),
-    }
-    if sharded.report is not None:
-        record["supervision"] = sharded.report.as_dict()
-        # Executor-lifetime router drop/leak counters (process backend; see
-        # ProgressRouter.stats) — recorded, not warning-only.
-        stats = getattr(instance, "progress_stats", None)
-        if stats is not None:
-            try:
-                router_stats = stats()
-            except Exception:
-                router_stats = None
-            if router_stats is not None:
-                record["supervision"]["progress_router"] = router_stats
-    return record
-
-
 def _failure_record(campaign: Campaign, cell: Cell, error: Exception) -> Dict:
     """The ``status="failed"`` record of a cell that ran out of attempts.
 
@@ -338,33 +252,6 @@ def _failure_record(campaign: Campaign, cell: Cell, error: Exception) -> Dict:
         "requested_trials": cell.trials,
         "error": {"type": type(error).__name__, "message": str(error)},
     }
-
-
-def _attempt_cell(
-    campaign: Campaign,
-    cell: Cell,
-    on_cell_error: str,
-    cell_retries: int,
-    run_args,
-) -> Tuple[Optional[Dict], Optional[Exception]]:
-    """Run one cell under the campaign's error policy.
-
-    Returns ``(record, None)`` on success and ``(None, error)`` when the
-    policy swallowed the failure (``skip``, or ``retry`` exhausted);
-    ``on_cell_error="raise"`` propagates instead.  Only :class:`Exception`
-    is ever swallowed — ``KeyboardInterrupt``/``SystemExit`` always
-    propagate, so an interrupt cannot be degraded into a failure record.
-    """
-    attempts = 1 + (max(0, cell_retries) if on_cell_error == "retry" else 0)
-    last_error: Optional[Exception] = None
-    for _attempt in range(attempts):
-        try:
-            return _run_cell(campaign, cell, *run_args), None
-        except Exception as exc:
-            if on_cell_error == "raise":
-                raise
-            last_error = exc
-    return None, last_error
 
 
 def run_campaign(
@@ -435,8 +322,11 @@ def run_campaign(
     Installments always extend a cell's consumed counter prefix (future
     ranges only — per-trial verdicts are untouched by allocation), run with
     ``stream_progress`` forced on, and each cell's record carries its
-    ``allocation`` history (per-installment ``first_trial``/``trials``) so
-    a resumed or follow-up campaign can continue the exact counter range.
+    ``allocation`` history (per-installment ``first_trial``/``trials``, and
+    the installment's ``supervision`` ledger when supervised) so a resumed
+    or follow-up campaign can continue the exact counter range.  Both kinds
+    of budget run through one scheduler: a fixed budget is a grant table
+    that gives each cell its own ``trials`` once (see :func:`_run_cells`).
     ``chunk_policy`` (a policy object from
     :mod:`repro.parallel.controller`, e.g. ``parse_chunk_policy("geometric")``)
     applies to every cell on both the fixed and adaptive paths.
@@ -486,32 +376,37 @@ def run_campaign(
             campaign_attrs["global_budget"] = global_budget
             campaign_attrs["target_halfwidth"] = target_halfwidth
     campaign_span = recorder.span("campaign", campaign_attrs)
-    run_args = (
-        instance, planner, chunk_size, chunk_policy, vectorize, stream_progress,
-        shard_timeout, max_retries, campaign_span.span_id,
+    options = dict(
+        executor=instance,
+        planner=planner,
+        chunk_size=chunk_size,
+        chunk_policy=chunk_policy,
+        vectorize=vectorize,
+        stream_progress=stream_progress,
+        shard_timeout=shard_timeout,
+        max_retries=max_retries,
     )
     try:
-        if global_budget is not None and pending:
-            _run_adaptive_campaign(
-                campaign, pending, instance, planner, chunk_size, chunk_policy,
-                vectorize, shard_timeout, max_retries, global_budget,
-                target_halfwidth, min_installment, cell_parallelism,
-                on_cell_error, cell_retries, sink, new_records, campaign_span,
-            )
-        elif cell_parallelism == 1 or len(pending) <= 1:
-            for cell in pending:
-                record, error = _attempt_cell(
-                    campaign, cell, on_cell_error, cell_retries, run_args
+        if pending:
+            if global_budget is None:
+                source = _FixedGrants(pending)
+            else:
+                source = CampaignAllocator(
+                    [cell.name for cell in pending],
+                    global_budget,
+                    target_halfwidth,
+                    min_installment=min_installment,
                 )
-                if record is None:
-                    record = _failure_record(campaign, cell, error)
-                sink.write(record)
-                new_records.append(record)
-        else:
-            _run_cells_concurrently(
-                campaign, pending, run_args, on_cell_error, cell_retries,
-                min(cell_parallelism, len(pending)), sink, new_records,
+                # Installments stream so the cumulative stop fires mid-shard.
+                options["stream_progress"] = True
+            _run_cells(
+                campaign, pending, source, options, cell_parallelism,
+                on_cell_error, cell_retries, sink, new_records,
+                campaign_span.span_id,
             )
+            if global_budget is not None:
+                for key, value in source.summary().items():
+                    campaign_span.set(f"allocator.{key}", value)
     except BaseException as exc:
         campaign_span.__exit__(type(exc), exc, None)
         raise
@@ -523,233 +418,277 @@ def run_campaign(
     return new_records
 
 
-def _run_cells_concurrently(
-    campaign: Campaign,
-    pending: List[Cell],
-    run_args,
-    on_cell_error: str,
-    cell_retries: int,
-    threads: int,
-    sink,
-    new_records: List[Dict],
-) -> None:
-    """The cell scheduler: a small thread team pulls cells off an ordered
-    queue and runs them over the shared executor; finished records buffer
-    until every earlier cell's record is written, so the sink sees campaign
-    declaration order regardless of completion order.
+class _FixedGrants:
+    """The fixed-budget campaign as a grant source: one round in which every
+    cell is granted its own ``trials``.  Installments book nothing here —
+    a fixed cell is finished by its single installment."""
 
-    Cell failures follow ``on_cell_error`` exactly like the serial path:
-    under ``skip``/``retry`` a failed cell contributes a ``status="failed"``
-    record that flushes in declaration order like any other, and siblings
-    keep running.  Under ``raise`` (and for ``KeyboardInterrupt`` always)
-    the contiguous prefix of completed records stays written (resume will
-    skip it); records of cells *after* the failure are discarded rather
-    than written out of order, and the first error re-raises.
+    def __init__(self, cells: Sequence[Cell]):
+        self._grants = {cell.name: cell.trials for cell in cells}
+
+    def grants(self) -> Dict[str, int]:
+        grants, self._grants = self._grants, {}
+        return grants
+
+    def settle(self, name: str, **_installment) -> None:
+        pass
+
+    def fail(self, name: str) -> None:
+        pass
+
+
+@dataclass
+class _CellTally:
+    """What a cell's installments ran, summed over every round."""
+
+    accepted: int = 0
+    trials: int = 0
+    shards: int = 0
+    elapsed: float = 0.0
+    stopped_early: bool = False
+    supervision: Optional[Dict] = None  # the latest installment's ledger
+    error: Optional[Exception] = None
+
+
+def _supervision(sharded, instance) -> Optional[Dict]:
+    """The supervision ledger of one installment, or ``None`` if unsupervised.
+
+    Carries the executor-lifetime router drop/leak counters (process
+    backend; see ProgressRouter.stats) — recorded, not warning-only.
     """
-    state_lock = threading.Lock()
-    cursor = 0
-    flushed = 0
-    buffered: Dict[int, Dict] = {}
-    errors: List[BaseException] = []
-
-    def worker() -> None:
-        nonlocal cursor, flushed
-        while True:
-            with state_lock:
-                if errors or cursor >= len(pending):
-                    return
-                position = cursor
-                cursor += 1
-            cell = pending[position]
-            try:
-                record, error = _attempt_cell(
-                    campaign, cell, on_cell_error, cell_retries, run_args
-                )
-                if record is None:
-                    record = _failure_record(campaign, cell, error)
-            except BaseException as exc:  # re-raised in the caller
-                with state_lock:
-                    errors.append(exc)
-                return
-            with state_lock:
-                buffered[position] = record
-                try:
-                    while flushed in buffered:
-                        # Pop only after a successful write, so a failing
-                        # sink loses no buffered record.
-                        sink.write(buffered[flushed])
-                        new_records.append(buffered.pop(flushed))
-                        flushed += 1
-                except BaseException as exc:  # sink failures re-raise too
-                    errors.append(exc)
-                    return
-
-    team = [
-        threading.Thread(target=worker, name=f"repro-cell-{index}")
-        for index in range(threads)
-    ]
-    for thread in team:
-        thread.start()
-    for thread in team:
-        thread.join()
-    if errors:
-        raise errors[0]
+    if sharded.report is None:
+        return None
+    ledger = sharded.report.as_dict()
+    stats = getattr(instance, "progress_stats", None)
+    if stats is not None:
+        try:
+            router_stats = stats()
+        except Exception:
+            router_stats = None
+        if router_stats is not None:
+            ledger["progress_router"] = router_stats
+    return ledger
 
 
-def _run_adaptive_campaign(
+def _cell_record(
+    campaign: Campaign, cell: Cell, tally: _CellTally, options: Dict, allocation
+) -> Dict:
+    """The one record builder: a cell's summed installments as a sink record.
+
+    Fixed-budget cells (``allocation is None``) carry their installment's
+    ``supervision`` ledger at top level; adaptive cells carry their
+    ``allocation`` history, each installment with its own ledger.
+    """
+    if tally.error is not None:
+        record = _failure_record(campaign, cell, tally.error)
+    else:
+        # Zero-trial estimates report nan probability/interval directly (a
+        # pre-satisfied stop can legitimately produce them); no guards needed.
+        estimate = AcceptanceEstimate(accepted=tally.accepted, trials=tally.trials)
+        low, high = estimate.interval
+        instance = options["executor"]
+        record = {
+            "campaign": campaign.name,
+            "cell": cell.name,
+            "cell_key": cell.key(),
+            "status": "ok",
+            **cell.spec.describe(),
+            "requested_trials": cell.trials,
+            "trials": estimate.trials,
+            "accepted": estimate.accepted,
+            "probability": estimate.probability,
+            "wilson_low": low,
+            "wilson_high": high,
+            "stopped_early": (
+                allocation["converged"] if allocation is not None
+                else tally.stopped_early
+            ),
+            "streamed": options["stream_progress"],
+            "shards": tally.shards,
+            "executor": instance.name,
+            "workers": instance.workers,
+            "elapsed_sec": round(tally.elapsed, 6),
+        }
+        if allocation is None and tally.supervision is not None:
+            record["supervision"] = tally.supervision
+    if allocation is not None:
+        record["allocation"] = allocation
+    return record
+
+
+def _run_cells(
     campaign: Campaign,
     pending: List[Cell],
-    instance,
-    planner: Optional[ShardPlanner],
-    chunk_size: int,
-    chunk_policy,
-    vectorize: Optional[bool],
-    shard_timeout: Optional[float],
-    max_retries: int,
-    global_budget: int,
-    target_halfwidth: float,
-    min_installment: int,
+    source,
+    options: Dict,
     cell_parallelism: int,
     on_cell_error: str,
     cell_retries: int,
     sink,
     new_records: List[Dict],
-    campaign_span,
+    trace_parent: Optional[str],
 ) -> None:
-    """The global-budget campaign loop: allocator rounds over installments.
+    """The campaign scheduler: rounds of grants, run by one thread team.
 
-    Each round the :class:`~repro.parallel.controller.CampaignAllocator`
-    produces a grant table; every granted cell runs one *installment* — a
-    streamed sharded estimate over the next ``granted`` trials of its
-    counter sequence (``first_trial`` = the consumed prefix, ``prior`` = the
-    prefix's counts, so the Wilson stop applies to the cell's *cumulative*
-    interval and fires as soon as the target halfwidth is reached
-    mid-installment).  Only consumed trials are booked against the budget;
-    a converged installment's unspent grant implicitly returns to the pool.
+    ``source`` hands out grant tables — a :class:`_FixedGrants` once, or a
+    :class:`~repro.parallel.controller.CampaignAllocator` until its budget
+    is spent.  A team of up to ``cell_parallelism`` threads (a team of one
+    is the calling thread) pulls each round's installments in declaration
+    order and runs them over the shared executor.  An installment is a
+    sharded estimate over the cell's next ``granted`` counters
+    (``first_trial`` = the consumed prefix, ``prior`` = its counts, so the
+    Wilson stop — the cell's own ``stop_halfwidth`` for fixed grants, the
+    allocator's target otherwise — acts on the cell's *cumulative*
+    interval).  Only consumed trials are booked; a stopped installment's
+    unspent grant returns to the pool.
 
-    Ordering and resume match the fixed path: one record per cell, written
-    in declaration order after the budget is spent, each carrying the
-    cell's full ``allocation`` history.  ``on_cell_error="skip"``/``"retry"``
-    degrade a repeatedly-failing cell to a ``status="failed"`` record (its
-    remaining budget serves the other cells); ``"raise"`` aborts.
+    Records go to the sink in declaration order: a finished cell's record
+    buffers until every earlier record is written.  A fixed cell finishes
+    with its one installment; adaptive cells finish together when the
+    budget is spent.
+
+    Failures follow ``on_cell_error``: ``"retry"`` re-attempts an
+    installment up to ``cell_retries`` times, then degrades like
+    ``"skip"`` — the cell gets a ``status="failed"`` record and siblings
+    keep running.  Under ``"raise"`` (and for ``KeyboardInterrupt``
+    always) no installment starts after the first error, the written
+    prefix stays (resume skips it), records after the failed cell are
+    discarded rather than written out of order, and the error re-raises.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    allocator = CampaignAllocator(
-        [cell.name for cell in pending],
-        global_budget,
-        target_halfwidth,
-        min_installment=min_installment,
-    )
+    recorder = get_recorder()
+    fixed = isinstance(source, _FixedGrants)
+    target = None if fixed else source.target_halfwidth
     cells = {cell.name: cell for cell in pending}
-    elapsed = {cell.name: 0.0 for cell in pending}
-    shard_totals = {cell.name: 0 for cell in pending}
-    errors: Dict[str, Exception] = {}
+    position = {cell.name: index for index, cell in enumerate(pending)}
+    tallies = {cell.name: _CellTally() for cell in pending}
+    lock = threading.Lock()
+    buffered: Dict[int, Dict] = {}
+    flushed = 0
+    errors: List[BaseException] = []
+    grants: List[Tuple[str, int]] = []
+    cursor = 0
+    progressed = False
 
-    def run_installment(name: str, granted: int):
-        cell = cells[name]
-        prior = allocator.counts(name)
+    def finish(cell: Cell, allocation=None) -> None:
+        # Called under the lock.  Pop only after a successful write, so a
+        # failing sink loses no buffered record.
+        nonlocal flushed
+        buffered[position[cell.name]] = _cell_record(
+            campaign, cell, tallies[cell.name], options, allocation
+        )
+        while flushed in buffered:
+            sink.write(buffered[flushed])
+            new_records.append(buffered.pop(flushed))
+            flushed += 1
+
+    def installment(cell: Cell, granted: int):
+        tally = tallies[cell.name]
+        attrs = None
+        if recorder.enabled:
+            attrs = {
+                "key": cell.name,
+                "campaign": campaign.name,
+                "trials": granted,
+                "seed": cell.seed,
+            }
         attempts = 1 + (max(0, cell_retries) if on_cell_error == "retry" else 0)
-        last_error: Optional[Exception] = None
+        error: Optional[Exception] = None
         for _attempt in range(attempts):
             start = time.perf_counter()
             try:
-                sharded = estimate_acceptance_sharded(
-                    cell.spec,
-                    granted,
-                    seed=cell.seed,
-                    executor=instance,
-                    planner=planner,
-                    chunk_size=chunk_size,
-                    chunk_policy=chunk_policy,
-                    stop_halfwidth=target_halfwidth,
-                    vectorize=vectorize,
-                    stream_progress=True,
-                    first_trial=prior[1],
-                    prior=prior,
-                    shard_timeout=shard_timeout,
-                    max_retries=max_retries,
-                )
+                # The span parent is explicit: team threads cannot see the
+                # campaign span on the calling thread's span stack.
+                with recorder.span("cell", attrs, parent=trace_parent) as span:
+                    sharded = estimate_acceptance_sharded(
+                        cell.spec,
+                        granted,
+                        seed=cell.seed,
+                        stop_halfwidth=cell.stop_halfwidth if fixed else target,
+                        first_trial=tally.trials,
+                        prior=(tally.accepted, tally.trials),
+                        **options,
+                    )
+                    span.set("trials_run", sharded.estimate.trials)
+                    span.set("stopped_early", sharded.stopped_early)
             except Exception as exc:
                 if on_cell_error == "raise":
                     raise
-                last_error = exc
+                error = exc
                 continue
             return sharded, time.perf_counter() - start, None
-        return None, 0.0, last_error
+        return None, 0.0, error
 
-    while True:
-        grants = allocator.grants()
+    def worker() -> None:
+        nonlocal cursor, progressed
+        while True:
+            with lock:
+                if errors or cursor >= len(grants):
+                    return
+                name, granted = grants[cursor]
+                cursor += 1
+            cell = cells[name]
+            try:
+                sharded, seconds, error = installment(cell, granted)
+            except BaseException as exc:  # re-raised in the caller
+                with lock:
+                    errors.append(exc)
+                return
+            with lock:
+                tally = tallies[name]
+                try:
+                    if error is not None:
+                        tally.error = error
+                        source.fail(name)
+                        progressed = True
+                    else:
+                        estimate = sharded.estimate
+                        tally.supervision = _supervision(sharded, options["executor"])
+                        source.settle(
+                            name,
+                            first_trial=tally.trials,
+                            granted=granted,
+                            accepted=estimate.accepted,
+                            trials=estimate.trials,
+                            supervision=tally.supervision,
+                        )
+                        tally.accepted += estimate.accepted
+                        tally.trials += estimate.trials
+                        tally.shards += sharded.shards
+                        tally.elapsed += seconds
+                        tally.stopped_early |= sharded.stopped_early
+                        progressed = progressed or estimate.trials > 0
+                    if fixed:
+                        finish(cell)
+                except BaseException as exc:  # sink failures re-raise too
+                    errors.append(exc)
+                    return
+
+    while not errors:
+        grants = list(source.grants().items())
         if not grants:
             break
-        ordered = list(grants.items())
-        if cell_parallelism > 1 and len(ordered) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(cell_parallelism, len(ordered)),
-                thread_name_prefix="repro-cell",
-            ) as team:
-                outcomes = list(
-                    team.map(lambda item: run_installment(*item), ordered)
-                )
-        else:
-            outcomes = [run_installment(name, granted) for name, granted in ordered]
+        cursor = 0
         progressed = False
-        for (name, granted), (sharded, spent, error) in zip(ordered, outcomes):
-            if error is not None:
-                allocator.fail(name)
-                errors[name] = error
-                progressed = True
-                continue
-            estimate = sharded.estimate
-            allocator.settle(
-                name,
-                first_trial=allocator.counts(name)[1],
-                granted=granted,
-                accepted=estimate.accepted,
-                trials=estimate.trials,
-            )
-            elapsed[name] += spent
-            shard_totals[name] += sharded.shards
-            if estimate.trials > 0:
-                progressed = True
+        size = min(cell_parallelism, len(grants))
+        if size == 1:
+            worker()
+        else:
+            team = [
+                threading.Thread(target=worker, name=f"repro-cell-{index}")
+                for index in range(size)
+            ]
+            for thread in team:
+                thread.start()
+            for thread in team:
+                thread.join()
         if not progressed:
             # A full round granted budget and nothing ran (wedged pool,
             # every shard quarantined, ...): stop granting instead of
-            # spinning — the records below document the shortfall.
+            # spinning — the records document the shortfall.
             break
-
-    from repro.simulation.metrics import AcceptanceEstimate
-
-    for cell in pending:
-        accepted, consumed = allocator.counts(cell.name)
-        history = allocator.history(cell.name)
-        if cell.name in errors:
-            record = _failure_record(campaign, cell, errors[cell.name])
-            record["allocation"] = history
-        else:
-            estimate = AcceptanceEstimate(accepted=accepted, trials=consumed)
-            low, high = estimate.interval
-            record = {
-                "campaign": campaign.name,
-                "cell": cell.name,
-                "cell_key": cell.key(),
-                "status": "ok",
-                **cell.spec.describe(),
-                "requested_trials": cell.trials,
-                "trials": estimate.trials,
-                "accepted": estimate.accepted,
-                "probability": estimate.probability,
-                "wilson_low": low,
-                "wilson_high": high,
-                "stopped_early": history["converged"],
-                "streamed": True,
-                "shards": shard_totals[cell.name],
-                "executor": getattr(instance, "name", "?"),
-                "workers": getattr(instance, "workers", 1),
-                "elapsed_sec": round(elapsed[cell.name], 6),
-                "allocation": history,
-            }
-        sink.write(record)
-        new_records.append(record)
-    for key, value in allocator.summary().items():
-        campaign_span.set(f"allocator.{key}", value)
+    if errors:
+        raise errors[0]
+    if not fixed:
+        with lock:
+            for cell in pending:
+                finish(cell, source.history(cell.name))

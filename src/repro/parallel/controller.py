@@ -402,7 +402,13 @@ class CampaignAllocator:
         return grants
 
     def settle(
-        self, name: str, first_trial: int, granted: int, accepted: int, trials: int
+        self,
+        name: str,
+        first_trial: int,
+        granted: int,
+        accepted: int,
+        trials: int,
+        supervision: Optional[Dict] = None,
     ) -> None:
         """Book one finished installment against the budget.
 
@@ -410,6 +416,8 @@ class CampaignAllocator:
         extend the counter range contiguously, never rewrite it.  ``trials``
         may be short of ``granted`` (the streamed stop fired); only the
         consumed part is charged, the rest stays in the pool.
+        ``supervision``, the installment's supervision ledger, is kept in
+        its history entry so retries and quarantines stay on record.
         """
         cell = self.cells[name]
         if first_trial != cell.consumed:
@@ -421,15 +429,16 @@ class CampaignAllocator:
             raise ValueError("invalid installment counts")
         cell.consumed += trials
         cell.accepted += accepted
-        cell.installments.append(
-            {
-                "round": self.rounds,
-                "first_trial": first_trial,
-                "granted": granted,
-                "trials": trials,
-                "accepted": accepted,
-            }
-        )
+        entry = {
+            "round": self.rounds,
+            "first_trial": first_trial,
+            "granted": granted,
+            "trials": trials,
+            "accepted": accepted,
+        }
+        if supervision is not None:
+            entry["supervision"] = supervision
+        cell.installments.append(entry)
         metrics = get_metrics()
         metrics.counter("controller.granted_trials").inc(granted)
         metrics.counter("controller.consumed_trials").inc(trials)

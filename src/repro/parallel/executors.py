@@ -62,7 +62,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.engine.montecarlo import DEFAULT_CHUNK, estimate_acceptance_fast
 from repro.engine.plan import VerificationPlan
@@ -83,7 +83,7 @@ from repro.parallel.progress import (
 from repro.parallel.shards import Shard, ShardPlanner
 from repro.parallel.spec import PlanSpec
 from repro.parallel.supervision import RetryPolicy, RunReport, ShardSupervisor
-from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
+from repro.simulation.metrics import AcceptanceEstimate
 
 
 def available_cpus() -> int:
@@ -166,7 +166,6 @@ def _run_shard(
             shard.trials,
             seed=options["seed"],
             rng_mode=options["rng_mode"],
-            seed_mode=options["seed_mode"],
             chunk_size=options["chunk_size"],
             # The chunk-schedule seam: a picklable policy rides in the
             # options dict and is instantiated per shard engine-side (the
@@ -752,7 +751,6 @@ def estimate_acceptance_sharded(
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
     rng_mode: Optional[str] = None,
-    seed_mode: str = "mix",
     chunk_size: int = DEFAULT_CHUNK,
     chunk_policy=None,
     stop_halfwidth: Optional[float] = None,
@@ -889,7 +887,6 @@ def estimate_acceptance_sharded(
         options = {
             "seed": seed,
             "rng_mode": rng_mode,
-            "seed_mode": seed_mode,
             "chunk_size": chunk_size,
             "chunk_policy": chunk_policy,
             "vectorize": vectorize,
@@ -906,63 +903,42 @@ def estimate_acceptance_sharded(
             options["trace"] = recorder.spec(parent=run_span.span_id)
         payloads = [(shard_target, shard, options) for shard in shards]
 
-        aggregator: Optional[StreamingAggregator] = None
-        on_progress = None
-        if stream_progress:
-            aggregator = StreamingAggregator(
-                stop_halfwidth=stop_halfwidth,
-                min_trials=min_trials,
-                baseline=(prior_accepted, prior_trials),
-                observer=progress_observer,
-            )
-            on_progress = aggregator.update
+        # One stop rule on every path: the aggregator.  Streamed runs feed
+        # it each chunk's partial counts (and bind the stop, so it fires
+        # mid-shard); every run folds in completed shards, which is all a
+        # non-streamed run sees — its stop stays shard-granular.  Completed
+        # shards fold in through the same path as their partials
+        # (idempotent: the final counts equal the shard's last published
+        # update), so the stop decision never waits on queue latency.  The
+        # baseline is the prior prefix: stop checks act on cumulative counts.
+        aggregator = StreamingAggregator(
+            stop_halfwidth=stop_halfwidth,
+            min_trials=min_trials,
+            baseline=(prior_accepted, prior_trials),
+            observer=progress_observer if stream_progress else None,
+        )
+        on_progress = aggregator.update if stream_progress else None
 
-        results: List[ShardResult] = []
-        # Stop checks act on the cumulative counts: the prior prefix plus
-        # whatever this call has merged so far.
-        accepted = prior_accepted
-        done = prior_trials
-        stopped = False
+        def fold(result: ShardResult, request_stop: Callable[[], None]) -> None:
+            aggregator.update(result.shard.index, result.accepted, result.trials)
+            if aggregator.satisfied:
+                request_stop()
+
         report: Optional[RunReport] = None
-
         if supervised:
-            def on_result(result):
-                # Runs on the supervisor thread, once per accepted shard —
-                # the same merge-and-maybe-stop step the unsupervised drain
-                # loop below performs inline.
-                nonlocal accepted, done, stopped
-                accepted += result.accepted
-                done += result.trials
-                if aggregator is not None:
-                    aggregator.update(
-                        result.shard.index, result.accepted, result.trials
-                    )
-                    if aggregator.satisfied:
-                        stopped = True
-                elif (
-                    not stopped
-                    and stop_halfwidth is not None
-                    and done >= min_trials
-                ):
-                    low, high = wilson_interval(accepted, done)
-                    if high - low <= 2 * stop_halfwidth:
-                        stopped = True
-                        supervisor.request_stop()
-
             supervisor = ShardSupervisor(
                 instance,
                 _run_shard,
                 payloads,
                 policy=retry_policy,
                 on_progress=on_progress,
-                on_result=on_result,
+                # Runs on the supervisor thread, once per accepted shard.
+                on_result=lambda result: fold(result, supervisor.request_stop),
             )
-            if aggregator is not None:
+            if stream_progress:
                 aggregator.bind_stop(supervisor.request_stop)
             result_map, report = supervisor.run()
             results = list(result_map.values())
-            if aggregator is not None and aggregator.satisfied:
-                stopped = True
         else:
             # The context manager guarantees the run's backend resources
             # (stop-board slot, progress subscription) are released on every
@@ -970,33 +946,15 @@ def estimate_acceptance_sharded(
             # is iterated, where closing the result generator alone would
             # never reach its finally (a never-started generator's body does
             # not run on close; see RunHandle.close).
+            results = []
             with instance.start_run(
                 _run_shard, payloads, on_progress=on_progress
             ) as handle:
-                if aggregator is not None:
+                if stream_progress:
                     aggregator.bind_stop(handle.request_stop)
                 for result in handle.results():
                     results.append(result)
-                    accepted += result.accepted
-                    done += result.trials
-                    if aggregator is not None:
-                        # Completed shards fold in through the same path as
-                        # their partials (idempotent: the final counts equal
-                        # the shard's last published update), so the stop
-                        # decision never waits on queue latency.
-                        aggregator.update(
-                            result.shard.index, result.accepted, result.trials
-                        )
-                        stopped = aggregator.satisfied
-                    elif (
-                        not stopped
-                        and stop_halfwidth is not None
-                        and done >= min_trials
-                    ):
-                        low, high = wilson_interval(accepted, done)
-                        if high - low <= 2 * stop_halfwidth:
-                            stopped = True
-                            handle.request_stop()
+                    fold(result, handle.request_stop)
     except BaseException as exc:
         # Close the run span on the error path (status="error"); the
         # success path closes it after the merge, with the final counts.
@@ -1008,7 +966,7 @@ def estimate_acceptance_sharded(
 
     results.sort(key=lambda result: result.shard.index)
     merged = AcceptanceEstimate.merge(result.estimate for result in results)
-    stopped_early = stopped or merged.trials < trials
+    stopped_early = aggregator.satisfied or merged.trials < trials
     run_span.set("trials_run", merged.trials)
     run_span.set("accepted", merged.accepted)
     run_span.set("stopped_early", stopped_early)
@@ -1021,6 +979,6 @@ def estimate_acceptance_sharded(
         workers=instance.workers,
         stopped_early=stopped_early,
         streamed=stream_progress,
-        progress_updates=aggregator.updates if aggregator is not None else 0,
+        progress_updates=aggregator.updates if stream_progress else 0,
         report=report,
     )

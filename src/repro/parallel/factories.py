@@ -233,7 +233,7 @@ def noisy_spanning_tree(
     observe nontrivial per-shard counts.  ``flip_milli`` is the per-bit flip
     probability in thousandths (spec arguments stay hashable integers).  The
     noisy wrapper has no engine hooks, so this workload exercises the
-    generic plan path under ``compat``/``fast`` modes (no ``vector``).
+    generic plan path, which runs in ``compat`` mode only (no ``vector``).
     """
     scheme = NoisyChannelRPLS(
         FingerprintCompiledRPLS(SpanningTreePLS()), flip_milli / 1000.0

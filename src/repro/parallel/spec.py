@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.engine.cache import PlanCache
-from repro.engine.plan import VerificationPlan
+from repro.engine.plan import VerificationPlan, check_rng_mode
 
 # Per-process resolution state (see module docstring).  Deliberately
 # process-global: with the default fork start method workers inherit a
@@ -91,6 +91,9 @@ class PlanSpec:
     kwargs: Tuple[Tuple[str, object], ...] = ()
     randomness: str = "edge"
     rng_mode: str = "compat"
+
+    def __post_init__(self):
+        check_rng_mode(self.rng_mode)
 
     @classmethod
     def of(

@@ -38,7 +38,7 @@ def noisy_plan():
     # Two-sided acceptance so accepted-counts are informative, generic
     # (scalar) plan path.
     return workload_spec(
-        "noisy-spanning-tree", rng_mode="fast", node_count=16, flip_milli=5
+        "noisy-spanning-tree", rng_mode="compat", node_count=16, flip_milli=5
     ).resolve()
 
 

@@ -23,11 +23,14 @@ from repro.parallel import (
     Campaign,
     CampaignAllocator,
     Cell,
+    ChaosExecutor,
     DEFAULT_CHUNK,
+    FaultPolicy,
     FixedChunkPolicy,
     GeometricChunkPolicy,
     JsonlSink,
     MemorySink,
+    SerialExecutor,
     StreamingAggregator,
     estimate_acceptance_sharded,
     parse_chunk_policy,
@@ -43,13 +46,13 @@ from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
 
 def easy_spec():
     # Honest spanning-tree run: every trial accepts, converges in the probe.
-    return workload_spec("spanning-tree", rng_mode="fast", node_count=12)
+    return workload_spec("spanning-tree", rng_mode="vector", node_count=12)
 
 
 def noisy_spec():
     # Two-sided acceptance: nontrivial interval, needs real budget.
     return workload_spec(
-        "noisy-spanning-tree", rng_mode="fast", node_count=18, flip_milli=4
+        "noisy-spanning-tree", rng_mode="compat", node_count=18, flip_milli=4
     )
 
 
@@ -508,6 +511,42 @@ class TestAdaptiveCampaign:
         assert by_name["good"]["status"] == "ok"
         assert by_name["good"]["allocation"]["converged"] is True
 
+    def test_crash_retries_stay_on_record_and_counts_unchanged(self):
+        # A target the budget cannot reach: every installment runs its whole
+        # grant, so the undisturbed schedule is deterministic to compare to.
+        def run(executor):
+            campaign = Campaign(
+                name="chaos",
+                cells=(Cell(name="hard", spec=noisy_spec(), trials=64, seed=5),),
+            )
+            (record,) = run_campaign(
+                campaign, executor=executor, sink=MemorySink(),
+                global_budget=600, target_halfwidth=0.01, max_retries=6,
+            )
+            return record
+
+        chaos = ChaosExecutor(SerialExecutor(), FaultPolicy(seed=3, crash_rate=0.4))
+        record = run(chaos)
+        undisturbed = run("serial")
+        assert chaos.injected  # non-vacuous: crashes were injected
+        installments = record["allocation"]["installments"]
+        ledgers = [installment["supervision"] for installment in installments]
+        assert sum(ledger["retries"] for ledger in ledgers) > 0
+        assert all(ledger["ok"] for ledger in ledgers)
+        assert "supervision" not in record  # adaptive ledgers live per installment
+
+        def counts(rec):
+            return [
+                (i["first_trial"], i["granted"], i["trials"], i["accepted"])
+                for i in rec["allocation"]["installments"]
+            ]
+
+        assert counts(record) == counts(undisturbed)
+        assert (record["accepted"], record["trials"]) == (
+            undisturbed["accepted"], undisturbed["trials"]
+        )
+        assert record["trials"] == 600
+
     @pytest.mark.parallel_proc
     def test_process_backend_with_cell_parallelism(self):
         records = run_campaign(
@@ -535,7 +574,7 @@ class TestCliAdaptive:
     def test_adaptive_campaign_cli(self, tmp_path, capsys):
         code = cli_main(
             [
-                "campaign", "--workloads", "spanning-tree", "--rng-modes", "fast",
+                "campaign", "--workloads", "spanning-tree", "--rng-modes", "vector",
                 "--trials", "64", "--size", "node_count=12",
                 "--out", str(tmp_path / "cli.jsonl"),
                 "--global-budget", "2000", "--target-halfwidth", "0.05",
@@ -562,7 +601,7 @@ class TestCliAdaptive:
             cli_main(
                 [
                     "campaign", "--workloads", "spanning-tree", "--rng-modes",
-                    "fast", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
+                    "vector", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
                     "--target-halfwidth", "0.05",
                 ]
             )
@@ -572,7 +611,7 @@ class TestCliAdaptive:
             cli_main(
                 [
                     "campaign", "--workloads", "spanning-tree", "--rng-modes",
-                    "fast", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
+                    "vector", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
                     "--global-budget", "1000",
                 ]
             )
@@ -582,7 +621,7 @@ class TestCliAdaptive:
             cli_main(
                 [
                     "campaign", "--workloads", "spanning-tree", "--rng-modes",
-                    "fast", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
+                    "vector", "--trials", "64", "--out", str(tmp_path / "x.jsonl"),
                     "--global-budget", "0", "--target-halfwidth", "0.05",
                 ]
             )

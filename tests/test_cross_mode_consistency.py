@@ -1,11 +1,11 @@
-"""Cross-mode decision-consistency: compat / fast / vector agree statistically.
+"""Cross-mode decision-consistency: compat and vector agree statistically.
 
-The three ``rng_mode`` settings are *different points of the same
+The two ``rng_mode`` settings are *different points of the same
 probability space*: the per-trial decisions legitimately differ, but the
 acceptance probability they estimate must not.  A fast path that quietly
 changed the distribution — a biased draw, a dropped check, a misaligned
 counter — is exactly the "fast but wrong" regression these tests exist to
-catch: for every scheme with an engine hook, the three modes estimate the
+catch: for every scheme with an engine hook, the two modes estimate the
 same acceptance probability on a shared workload, asserted via
 Wilson-interval overlap (each mode's interval must contain a point the
 others' intervals contain too).
@@ -19,8 +19,8 @@ Three workload classes per scheme where they apply:
   a real statistical statement;
 - **illegal payloads** (Unif) — the classic nondegenerate soundness case.
 
-The tier-1 core runs a few hundred trials per mode (the vector/fast modes
-are vectorized, so this is cheap); the ``slow_stats`` tier re-runs the
+The tier-1 core runs a few hundred trials per mode (the vector mode is
+vectorized, so this is cheap); the ``slow_stats`` tier re-runs the
 comparison at 10x depth with tighter intervals via ``make test-stats``.
 """
 
@@ -41,7 +41,7 @@ from repro.schemes.spanning_tree import SpanningTreePLS
 from repro.schemes.uniformity import DirectUnifRPLS
 from repro.simulation.metrics import wilson_interval
 
-MODES = ("compat", "fast", "vector")
+MODES = ("compat", "vector")
 
 
 def proof_fault_labels(scheme, configuration, trial_count=80, seed=1):

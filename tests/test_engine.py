@@ -20,7 +20,6 @@ from repro.core.noise import NoisyChannelRPLS
 from repro.core.seeding import (
     derive_stream_seed,
     derive_trial_seed,
-    legacy_trial_seed,
     splitmix64,
 )
 from repro.core.shared import SharedCoinsCompiledRPLS
@@ -290,17 +289,6 @@ class TestEstimators:
             reference.trials,
         )
 
-    def test_legacy_seed_mode_matches_legacy_derivation(self):
-        config = uniform_configuration(8, 6, equal=False, seed=18)
-        scheme = DirectUnifRPLS()
-        labels = scheme.prover(config)
-        reference = estimate_acceptance(
-            scheme, config, trials=40, seed=19, labels=labels, seed_mode="legacy"
-        )
-        plan = VerificationPlan.compile(scheme, config, labels=labels)
-        batched = estimate_acceptance_fast(plan, 40, seed=19, seed_mode="legacy")
-        assert batched.accepted == reference.accepted
-
     def test_chunking_is_invisible(self):
         config = uniform_configuration(8, 6, equal=False, seed=20)
         scheme = DirectUnifRPLS()
@@ -348,30 +336,46 @@ class TestEstimators:
         with pytest.raises(ValueError):
             estimate_acceptance_fast(plan, 10, chunk_size=0)
         with pytest.raises(ValueError):
-            estimate_acceptance_fast(plan, 10, seed_mode="nope")
-        with pytest.raises(ValueError):
             plan.run_trial(0, rng_mode="nope")
-        with pytest.raises(ValueError):
-            estimate_acceptance(DirectUnifRPLS(), config, trials=10, seed_mode="nope")
 
 
-class TestFastRngMode:
-    """The integer-mix mode trades bit-compat for speed, not correctness."""
+class TestRemovedRngModes:
+    """``rng_mode="fast"`` is gone: every boundary that takes a mode names
+    the two that remain instead of silently running something else."""
 
-    @pytest.mark.parametrize("randomness", ALL_MODES)
-    def test_one_sided_completeness_preserved(self, randomness):
-        config = spanning_tree_configuration(16, 5, seed=27)
+    def _plan(self):
+        config = spanning_tree_configuration(10, 3, seed=27)
+        return VerificationPlan.compile(FingerprintCompiledRPLS(SpanningTreePLS()), config)
+
+    @staticmethod
+    def _rejects_fast(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert "compat" in str(info.value) and "vector" in str(info.value)
+
+    def test_verification_plan_rejects_fast(self):
+        config = spanning_tree_configuration(10, 3, seed=27)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
-        plan = VerificationPlan.compile(scheme, config, randomness=randomness)
-        estimate = estimate_acceptance_fast(plan, 40, seed=28, rng_mode="fast")
-        assert estimate.probability == 1.0
+        self._rejects_fast(
+            lambda: VerificationPlan.compile(scheme, config, rng_mode="fast")
+        )
 
-    def test_soundness_statistics_preserved(self):
-        config = uniform_configuration(10, 64, equal=False, seed=29)
-        scheme = DirectUnifRPLS()
-        plan = VerificationPlan.compile(scheme, config)
-        estimate = estimate_acceptance_fast(plan, 150, seed=30, rng_mode="fast")
-        assert estimate.probability < 1 / 3 + 0.1
+    def test_run_paths_reject_fast(self):
+        plan = self._plan()
+        seed = derive_trial_seed(0, 0)
+        self._rejects_fast(lambda: plan.run_trial(seed, rng_mode="fast"))
+        self._rejects_fast(lambda: plan.run_trials([seed], rng_mode="fast"))
+        self._rejects_fast(
+            lambda: plan.run_trials([seed], rng_mode="fast", vectorize=True)
+        )
+        self._rejects_fast(lambda: estimate_acceptance_fast(plan, 8, rng_mode="fast"))
+
+    def test_plan_spec_and_workload_spec_reject_fast(self):
+        from repro.parallel import PlanSpec, workload_spec
+        from repro.parallel.factories import compiled_spanning_tree
+
+        self._rejects_fast(lambda: PlanSpec.of(compiled_spanning_tree, rng_mode="fast"))
+        self._rejects_fast(lambda: workload_spec("spanning-tree", rng_mode="fast"))
 
 
 class TestRawFingerprints:
@@ -433,7 +437,7 @@ class TestRawFingerprints:
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 
 
-def _assert_vector_identical(plan, seeds, rng_modes=("compat", "fast", "vector")):
+def _assert_vector_identical(plan, seeds, rng_modes=("compat", "vector")):
     """The vectorized kernel reproduces the scalar path's decision per trial."""
     for rng_mode in rng_modes:
         scalar = [plan.run_trial(seed, rng_mode) for seed in seeds]
@@ -549,9 +553,9 @@ class TestVectorizedKernels:
         config = spanning_tree_configuration(12, 4, seed=58)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         plan = VerificationPlan.compile(scheme, config)
-        scalar = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="fast", vectorize=False)
-        vector = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="fast", vectorize=True)
-        auto = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="fast")
+        scalar = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="vector", vectorize=False)
+        vector = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="vector", vectorize=True)
+        auto = estimate_acceptance_fast(plan, 30, seed=59, rng_mode="vector")
         assert scalar.accepted == vector.accepted == auto.accepted
         # Explicitly requesting the kernel on an unsupported plan fails loudly.
         unif_plan = VerificationPlan.compile(
@@ -841,14 +845,14 @@ class TestVectorRngMode:
             plan, [derive_trial_seed(6, t) for t in range(8)], rng_modes=("vector",)
         )
 
-    def test_legacy_seed_mode_negative_seeds(self):
-        """hash((seed, trial)) can be negative; the uint64 kernels must mask
-        exactly like the scalar derivation."""
+    def test_negative_trial_seeds_mask_like_scalar(self):
+        """A caller may hand run_trials any Python int, negative ones
+        included; the uint64 kernels must mask exactly like the scalar
+        derivation."""
         config = spanning_tree_configuration(10, 3, seed=73)
         scheme = FingerprintCompiledRPLS(SpanningTreePLS())
         plan = VerificationPlan.compile(scheme, config)
-        seeds = [legacy_trial_seed(-9, t) for t in range(8)]
-        assert any(seed < 0 for seed in seeds)
+        seeds = [-1 - derive_trial_seed(9, t) for t in range(8)]
         _assert_vector_identical(plan, seeds, rng_modes=("vector",))
 
     def test_generic_path_rejects_vector_mode(self):
@@ -1016,17 +1020,12 @@ class TestPlanCacheRngMode:
         cache = PlanCache(maxsize=8)
         compat = cache.get(scheme, config, labels=labels)
         vector = cache.get(scheme, config, labels=labels, rng_mode="vector")
-        fast = cache.get(scheme, config, labels=labels, rng_mode="fast")
-        assert compat is not vector and compat is not fast and vector is not fast
-        assert (compat.rng_mode, fast.rng_mode, vector.rng_mode) == (
-            "compat",
-            "fast",
-            "vector",
-        )
+        assert compat is not vector
+        assert (compat.rng_mode, vector.rng_mode) == ("compat", "vector")
         # Same mode hits.
         assert cache.get(scheme, config, labels=labels, rng_mode="vector") is vector
         assert cache.get(scheme, config, labels=labels) is compat
-        assert (cache.hits, cache.misses) == (2, 3)
+        assert (cache.hits, cache.misses) == (2, 2)
 
     def test_vector_plan_never_served_to_compat_caller(self):
         """The regression the key fix exists for: a shared cache must not
@@ -1116,6 +1115,3 @@ class TestSeeding:
             for port in range(6):
                 seeds.add(derive_stream_seed(trial, node_index, port))
         assert len(seeds) == 1 + 10 + 60
-
-    def test_legacy_trial_seed_is_the_old_expression(self):
-        assert legacy_trial_seed(3, 9) == hash((3, 9))

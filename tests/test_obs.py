@@ -387,7 +387,6 @@ class TestRunReportTiming:
         options = {
             "seed": 0,
             "rng_mode": "vector",
-            "seed_mode": "mix",
             "chunk_size": 16,
             "vectorize": None,
             "heartbeat": True,
@@ -488,6 +487,25 @@ class TestChaosFlightRecorder:
         # Supervision timing satellite: both clocks present.
         assert supervision["duration_sec"] > 0.0
         assert supervision["finished_unix"] >= supervision["started_unix"]
+
+    def test_report_counts_one_attempt_per_unsupervised_shard(self, tmp_path, capsys):
+        from repro.obs.cli import main as obs_main
+        from repro.parallel import estimate_acceptance_sharded, workload_spec
+
+        spec = workload_spec("spanning-tree", node_count=12)
+        with tracing(tmp_path / "trace"):
+            sharded = estimate_acceptance_sharded(
+                spec, 256, executor="thread", workers=2, shard_count=8
+            )
+        assert sharded.report is None  # unsupervised: no dispatch events
+        (run,) = summarize_runs(load_trace(tmp_path / "trace"))
+        assert run["dispatches"] == 8
+        assert sorted(a["shard"] for a in run["attempts"]) == list(range(8))
+        assert {a["attempt"] for a in run["attempts"]} == {0}
+        assert run["retries"] == 0
+        assert obs_main(["report", str(tmp_path / "trace")]) == 0
+        out = capsys.readouterr().out
+        assert "shards=8" in out and "attempts=8 retries=0" in out
 
     def test_chrome_export_is_valid_trace_event_json(self, tmp_path):
         trace, _records = self._traced_chaos_campaign(tmp_path, "seed=3,crash=0.5")

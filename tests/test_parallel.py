@@ -64,7 +64,7 @@ def small_spec(rng_mode="vector"):
     )
 
 
-def noisy_spec(rng_mode="fast"):
+def noisy_spec(rng_mode="compat"):
     # Two-sided acceptance (generic plan path): nontrivial per-shard counts.
     return workload_spec(
         "noisy-spanning-tree", rng_mode=rng_mode, node_count=18, flip_milli=4
@@ -240,7 +240,7 @@ class TestPlanSpec:
         plan_a = spec.resolve()
         plan_b = spec.resolve()
         assert plan_a is plan_b  # workload memo + PlanCache hit
-        other_mode = small_spec(rng_mode="fast")
+        other_mode = small_spec(rng_mode="compat")
         assert other_mode.resolve() is not plan_a  # rng_mode is plan identity
 
     def test_resolution_with_explicit_cache(self):
@@ -273,7 +273,7 @@ def _single(spec, rng_mode=None):
 
 class TestShardedDeterminism:
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_serial_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         sharded = estimate_acceptance_sharded(
@@ -540,7 +540,7 @@ class TestCampaign:
         campaign = Campaign.sweep(
             "sweep",
             ["spanning-tree", ("shared-coins", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("compat", "vector"),
             trial_budgets=(64, 128),
             seeds=(0, 1),
         )
@@ -563,7 +563,7 @@ class TestCampaign:
         campaign = Campaign.sweep(
             "demo",
             [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast",),
+            rng_modes=("vector",),
             trial_budgets=(96,),
         )
         sink = MemorySink()
@@ -584,7 +584,7 @@ class TestCampaign:
         campaign = Campaign.sweep(
             "resume",
             [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("compat", "vector"),
             trial_budgets=(64,),
         )
         first = run_campaign(campaign, sink=JsonlSink(path))
@@ -598,7 +598,7 @@ class TestCampaign:
         path = tmp_path / "torn.jsonl"
         campaign = Campaign.sweep(
             "torn", [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast",), trial_budgets=(64,),
+            rng_modes=("vector",), trial_budgets=(64,),
         )
         run_campaign(campaign, sink=JsonlSink(path))
         with path.open("a") as handle:
@@ -611,7 +611,7 @@ class TestCampaign:
         path = tmp_path / "trunc.jsonl"
         campaign = Campaign.sweep(
             "trunc", [("spanning-tree", {"node_count": 12})],
-            rng_modes=("fast",), trial_budgets=(64,),
+            rng_modes=("vector",), trial_budgets=(64,),
         )
         run_campaign(campaign, sink=JsonlSink(path))
         rerun = run_campaign(campaign, sink=JsonlSink(path, resume=False))
@@ -643,7 +643,7 @@ class TestCli:
     def test_campaign_with_resume(self, tmp_path, capsys):
         out_path = str(tmp_path / "cli.jsonl")
         argv = [
-            "campaign", "--workloads", "spanning-tree", "--rng-modes", "fast",
+            "campaign", "--workloads", "spanning-tree", "--rng-modes", "vector",
             "--trials", "64", "--size", "node_count=12", "--out", out_path,
         ]
         assert cli_main(argv) == 0
@@ -664,7 +664,7 @@ class TestCli:
         # warns where it can't.
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree,k-flow", "--rng-modes",
-             "fast", "--trials", "32", "--size", "node_count=12"]
+             "vector", "--trials", "32", "--size", "node_count=12"]
         )
         assert code == 0
         captured = capsys.readouterr()
@@ -674,7 +674,7 @@ class TestCli:
     def test_per_workload_sizes(self, capsys):
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree,k-flow", "--rng-modes",
-             "fast", "--trials", "32",
+             "vector", "--trials", "32",
              "--size", "spanning-tree:node_count=12", "--size", "k-flow:k=2"]
         )
         assert code == 0
@@ -732,14 +732,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main(
                 ["campaign", "--workloads", "spanning-tree", "--trials", "8",
-                 "--rng-modes", "fast,turbo"]
+                 "--rng-modes", "vector,turbo"]
             )
+
+    def test_removed_fast_rng_mode_rejected_at_cli_boundary(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(
+                ["estimate", "--workload", "spanning-tree", "--trials", "8",
+                 "--rng-mode", "fast"]
+            )
+        assert "compat" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli_main(
+                ["campaign", "--workloads", "spanning-tree", "--trials", "8",
+                 "--rng-modes", "fast"]
+            )
+        message = str(info.value)
+        assert "'fast'" in message and "compat" in message and "vector" in message
 
     def test_campaign_cell_parallelism_and_streaming_flags(self, tmp_path, capsys):
         out_path = str(tmp_path / "stream.jsonl")
         code = cli_main(
             ["campaign", "--workloads", "spanning-tree", "--rng-modes",
-             "fast,vector", "--trials", "48", "--size", "node_count=12",
+             "compat,vector", "--trials", "48", "--size", "node_count=12",
              "--executor", "thread", "--workers", "2",
              "--cell-parallelism", "2", "--stream-progress", "--out", out_path]
         )

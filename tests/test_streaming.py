@@ -65,7 +65,7 @@ def small_spec(rng_mode="vector"):
     )
 
 
-def noisy_spec(rng_mode="fast"):
+def noisy_spec(rng_mode="compat"):
     return workload_spec(
         "noisy-spanning-tree", rng_mode=rng_mode, node_count=18, flip_milli=4
     )
@@ -129,7 +129,7 @@ class TestProgressHook:
 
     def test_constant_verdict_publishes_degenerate_counts(self):
         class ConstantPlan:
-            rng_mode = "fast"
+            rng_mode = "compat"
             vector_ready = False
             constant_verdict = False
 
@@ -206,7 +206,7 @@ class TestStreamingAggregator:
 
 class TestStreamedDeterminism:
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_serial_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
@@ -218,7 +218,7 @@ class TestStreamedDeterminism:
         assert not streamed.stopped_early
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_thread_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         streamed = estimate_acceptance_sharded(
@@ -242,7 +242,7 @@ class TestStreamedDeterminism:
 @pytest.mark.parallel_proc
 class TestProcessStreaming:
     @pytest.mark.parametrize("shards", [1, 2, 8])
-    @pytest.mark.parametrize("rng_mode", ["compat", "fast", "vector"])
+    @pytest.mark.parametrize("rng_mode", ["compat", "vector"])
     def test_process_streamed_matches_single_process(self, shards, rng_mode):
         spec = small_spec(rng_mode=rng_mode)
         with ProcessExecutor(workers=2) as executor:
@@ -345,7 +345,7 @@ class TestConcurrentCells:
         return Campaign.sweep(
             "cells",
             ["spanning-tree", ("shared-coins", {"node_count": 12})],
-            rng_modes=("fast", "vector"),
+            rng_modes=("compat", "vector"),
             trial_budgets=(64, 96),
         )
 
@@ -480,7 +480,7 @@ class TestStopEpoch:
         plan = spec.resolve().prepare(None)
         executor = SerialExecutor()
         options = {
-            "seed": SEED, "rng_mode": None, "seed_mode": "mix",
+            "seed": SEED, "rng_mode": None,
             "chunk_size": 64, "vectorize": None,
         }
         shards = ShardPlanner(shard_count=4).plan(256)
@@ -621,7 +621,6 @@ class TestProcessHandleRelease:
         options = {
             "seed": SEED,
             "rng_mode": spec.rng_mode,
-            "seed_mode": "mix",
             "chunk_size": 64,
             "vectorize": None,
         }

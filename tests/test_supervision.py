@@ -70,9 +70,10 @@ def small_spec(rng_mode="vector"):
     )
 
 
-def noisy_spec(rng_mode="fast"):
+def noisy_spec(rng_mode="compat", flip_milli=4):
     return workload_spec(
-        "noisy-spanning-tree", rng_mode=rng_mode, node_count=18, flip_milli=4
+        "noisy-spanning-tree", rng_mode=rng_mode, node_count=18,
+        flip_milli=flip_milli,
     )
 
 
@@ -163,8 +164,8 @@ class TestSupervisedIdentity:
         "spec_maker",
         [
             lambda: small_spec("vector"),
-            lambda: small_spec("fast"),
-            lambda: noisy_spec("fast"),
+            lambda: small_spec("compat"),
+            lambda: noisy_spec("compat", flip_milli=1),
             lambda: noisy_spec("compat"),
         ],
     )
@@ -240,8 +241,8 @@ class TestCrashIdentity:
         "spec_maker",
         [
             lambda: small_spec("vector"),
-            lambda: small_spec("fast"),
-            lambda: noisy_spec("fast"),
+            lambda: small_spec("compat"),
+            lambda: noisy_spec("compat", flip_milli=1),
             lambda: noisy_spec("compat"),
         ],
     )
@@ -650,7 +651,7 @@ class TestCliSupervision:
         # skip policy records each failure, and the run still exits 0.
         argv = [
             "campaign", "--workloads", "spanning-tree", "--rng-modes",
-            "vector,fast", "--trials", "64", "--size", "node_count=12",
+            "vector,compat", "--trials", "64", "--size", "node_count=12",
             "--chaos-spec", "seed=1,crash=1", "--on-cell-error", "skip",
             "--out", str(tmp_path / "skip.jsonl"), "--fsync",
         ]
