@@ -46,10 +46,16 @@ def max_flow(capacities: Arcs, source: Hashable, sink: Hashable) -> Tuple[int, A
         backward = flow.get(v, {}).get(u, 0)
         return forward + backward
 
-    def neighbors(u: Hashable) -> Set[Hashable]:
-        out = set(capacities.get(u, {}))
-        incoming = {w for w, targets in capacities.items() if u in targets}
-        return out | incoming
+    def neighbors(u: Hashable) -> List[Hashable]:
+        # Insertion order, not set order: string-bearing node keys (the
+        # ("v", "in") split nodes of vertex_disjoint_paths) iterate in a
+        # PYTHONHASHSEED-dependent order as a set, and the BFS order picks
+        # which augmenting paths -- hence which honest labels -- come out.
+        out = list(capacities.get(u, {}))
+        seen = set(out)
+        return out + [
+            w for w, targets in capacities.items() if u in targets and w not in seen
+        ]
 
     value = 0
     while True:
