@@ -536,17 +536,17 @@ def test_engine_throughput(benchmark, report):
         ),
     ]
     # One verdict-spec zoo scheme per kernel family, through the same
-    # factories the campaign sweeps use (repro.parallel.factories).
-    from repro.parallel.factories import (
-        boosted_hamiltonicity,
-        compiled_biconnectivity,
-        shared_coins_mis,
+    # sized builders the campaign sweeps use (repro.engine.specs).
+    from repro.engine.specs import (
+        build_biconnectivity,
+        build_hamiltonicity,
+        build_mis,
     )
 
     for name, factory, randomness, legacy_trials, engine_trials in [
-        ("compiled(biconnectivity)", lambda: compiled_biconnectivity(node_count=72), "edge", 8, 80),
-        ("shared-coins(mis)", lambda: shared_coins_mis(node_count=96, extra_edges=30), "shared", 20, 300),
-        ("boosted(hamiltonicity, t=2)", lambda: boosted_hamiltonicity(node_count=48, extra_edges=20), "edge", 8, 80),
+        ("compiled(biconnectivity)", lambda: build_biconnectivity(node_count=72), "edge", 8, 80),
+        ("shared-coins(mis)", lambda: build_mis(node_count=96, extra_edges=30), "shared", 20, 300),
+        ("boosted(hamiltonicity, t=2)", lambda: build_hamiltonicity(node_count=48, extra_edges=20), "edge", 8, 80),
     ]:
         scheme, configuration = factory()
         workloads.append(

@@ -34,57 +34,35 @@ import multiprocessing
 import pathlib
 import sys
 
-from repro.core.boosting import BoostedRPLS
-from repro.core.compiler import FingerprintCompiledRPLS
 from repro.core.seeding import derive_trial_seed
-from repro.core.shared import SharedCoinsCompiledRPLS
 from repro.core.verifier import verify_randomized
 from repro.engine import VerificationPlan, estimate_acceptance_fast
-from repro.graphs.generators import (
-    flow_configuration,
-    mst_configuration,
-    spanning_tree_configuration,
-)
-from repro.graphs.workloads import distance_configuration
-from repro.schemes.spanning_tree import SpanningTreePLS
-from repro.schemes.distance import distance_rpls
-from repro.schemes.flow import k_flow_rpls
-from repro.schemes.mst import mst_rpls
 from repro.simulation.runner import format_table
 
 SMOKE_TRIALS = 6
 ORACLE_TRIALS = 3
 
 
+#: (report name, WORKLOADS name, sizes) of every engine-hooked benchmark row
+SMOKE_WORKLOADS = (
+    ("compiled(spanning-tree)", "spanning-tree", {"node_count": 16, "extra_edges": 5, "seed": 1}),
+    ("boosted(compiled, t=3)", "boosted-spanning-tree", {"node_count": 16, "extra_edges": 5, "seed": 1}),
+    ("compiled(mst)", "mst", {"node_count": 14, "seed": 2}),
+    ("compiled(k-flow)", "k-flow", {"path_length": 3, "decoy_edges": 2, "seed": 3}),
+    ("compiled(distance)", "distance", {"node_count": 14, "extra_edges": 5, "seed": 4}),
+    ("shared-coins(spanning-tree)", "shared-coins", {"node_count": 16, "extra_edges": 5, "seed": 1}),
+)
+
+
 def workloads():
-    """Every engine-hooked (scheme, configuration) pair the benchmarks use."""
-    spanning = spanning_tree_configuration(16, 5, seed=1)
-    yield ("compiled(spanning-tree)", FingerprintCompiledRPLS(SpanningTreePLS()), spanning, "edge")
-    yield (
-        "boosted(compiled, t=3)",
-        BoostedRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), 3),
-        spanning,
-        "edge",
-    )
-    yield ("compiled(mst)", mst_rpls(), mst_configuration(14, seed=2), "edge")
-    yield (
-        "compiled(k-flow)",
-        k_flow_rpls(),
-        flow_configuration(2, path_length=3, decoy_edges=2, seed=3),
-        "edge",
-    )
-    yield (
-        "compiled(distance)",
-        distance_rpls(weighted=True),
-        distance_configuration(14, 5, seed=4, weighted=True),
-        "edge",
-    )
-    yield (
-        "shared-coins(spanning-tree)",
-        SharedCoinsCompiledRPLS(SpanningTreePLS()),
-        spanning,
-        "shared",
-    )
+    """Every engine-hooked (scheme, configuration) pair the benchmarks use,
+    built by the registry workloads (:data:`repro.parallel.factories.WORKLOADS`)."""
+    from repro.parallel.factories import WORKLOADS
+
+    for name, workload, sizes in SMOKE_WORKLOADS:
+        build, randomness = WORKLOADS[workload]
+        scheme, configuration = build(**sizes)
+        yield name, scheme, configuration, randomness
 
 
 def smoke_workload(name, scheme, configuration, randomness):
@@ -140,7 +118,7 @@ def smoke_spec_registry():
 
     checked = []
     for spec in iter_specs():
-        scheme = scheme_for(spec)
+        scheme = scheme_for(spec, seed=1)
         configuration = clean_configuration(spec, seed=1)
         labels = scheme.prover(configuration)
         plan = VerificationPlan.compile(

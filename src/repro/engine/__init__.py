@@ -62,8 +62,8 @@ Knobs
   counter ranges across serial/thread/process backends, with the merged
   estimate exactly equal to the single-process one.
 - :mod:`repro.engine.specs` is the declarative scheme registry: every
-  scheme in the zoo as a :class:`VerdictSpec` (label parser + kernel
-  family + parameters), resolvable to a guaranteed-fast-path plan via
+  scheme in the zoo as a :class:`VerdictSpec` (sized workload builder +
+  kernel family + matrix sizes), resolvable to a guaranteed-fast-path plan via
   :func:`spec_plan`.  The differential identity matrix
   (``tests/test_verdict_specs.py``) is generated from this registry, so
   registered schemes stay bit-identical to the legacy oracle by

@@ -85,7 +85,6 @@ def estimate_acceptance_fast(
     first_trial: int = 0,
     should_stop: Optional[Callable[[], bool]] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
 ) -> "AcceptanceEstimate":
     """Estimate ``Pr[verifier accepts]`` by running ``trials`` plan rounds.
 
@@ -138,12 +137,6 @@ def estimate_acceptance_fast(
     only: it never changes which trials run or what they decide, so a run
     with ``progress`` set is count-identical to the same run without it.
 
-    ``heartbeat`` is the liveness channel of :mod:`repro.parallel.supervision`:
-    it is called (with no arguments) at the top of every chunk iteration —
-    including the first, before any trial runs — so a supervisor can
-    distinguish a worker that is merely between progress updates from one
-    that has died or hung.  Like ``progress`` it is observational only.
-
     Plans with a compile-time verdict (``plan.constant_verdict``) return the
     exact degenerate estimate immediately, with no trials executed (one
     ``progress`` update reports the degenerate counts).
@@ -181,8 +174,6 @@ def estimate_acceptance_fast(
     accepted = 0
     done = 0
     while done < trials:
-        if heartbeat is not None:
-            heartbeat()
         if should_stop is not None and should_stop():
             break
         # The final chunk is exactly the remaining trials — `done + chunk`

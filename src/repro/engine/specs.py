@@ -13,16 +13,18 @@ kernels the engine already vectorizes (:mod:`repro.engine.kernels`,
 - **threshold** — ``t``-fold repetition of a one-sided fingerprint base
   (footnote 1 boosting): accept iff every repetition accepts.
 
-A :class:`VerdictSpec` names a scheme as *(label parser, kernel family,
-parameters)*: the label parser is the deterministic base scheme whose
-labels the kernel checks, the family picks the wrapper, and the parameters
-(repetitions, workload builders) finish the description.  Registering a
-spec is all it takes to put a scheme on the fast path — the registry is
-what the differential identity matrix (``tests/test_verdict_specs.py``),
-the cross-mode consistency suite, the campaign workload factories
-(:mod:`repro.parallel.factories`), and the benchmark smoke harness iterate,
-so a scheme missing from the registry (or drifting from its legacy oracle)
-fails tier-1 by construction.
+A :class:`VerdictSpec` names a scheme as *(sized builder, kernel family,
+matrix sizes)*.  The builder is one module-level ``build(**sizes) ->
+(scheme, configuration)`` that makes both the scheme and its legal
+workload; the family documents which kernel the scheme's hooks feed.  This
+module is the one place each scheme and its workload are built: the
+differential identity matrix (``tests/test_verdict_specs.py``), the
+cross-mode consistency suite, the benchmark smoke harness and the campaign
+workloads (:data:`repro.parallel.factories.WORKLOADS`, derived from this
+registry) all call the same builders — the tests at the spec's small
+``matrix_sizes``, campaigns at the builder's defaults or any caller-chosen
+size.  A scheme missing from the registry (or drifting from its legacy
+oracle) fails tier-1 by construction.
 
 The registry never *replaces* the legacy oracle: ``verify_randomized`` /
 ``estimate_acceptance`` stay the unoptimized reference, and every spec's
@@ -36,28 +38,37 @@ Typical use::
     plan = spec_plan("biconnectivity", configuration, rng_mode="vector")
     estimate = estimate_acceptance_fast(plan, 10_000)
 
+and a workload at a chosen size:
+
+>>> scheme, configuration = get_spec("boosting").build(node_count=12, t=2)
+>>> scheme.name, len(configuration.graph.nodes)
+('boosted(compiled(spanning-tree-pls), t=2)', 12)
+
 Unknown names raise :class:`UnknownSchemeError` — the explicit fallback.
 There is deliberately no silent degradation: a caller asking for an
 unregistered scheme must either register a spec or route through the
 legacy oracle on purpose.
 
-Scheme instances are memoized per spec (:func:`scheme_for`), which is what
-makes :class:`~repro.engine.cache.PlanCache` keying work on *spec
-identity*: the cache keys schemes by ``id()``, so two resolutions of the
-same spec share one scheme object and hit, while distinct specs (even over
-the same base parser) never alias.
+Scheme instances are memoized per spec and seed (:func:`scheme_for`),
+which is what makes :class:`~repro.engine.cache.PlanCache` keying work on
+*spec identity*: the cache keys schemes by ``id()``, so two resolutions of
+the same spec share one scheme object and hit, while distinct specs (even
+over the same base parser) never alias.  The seed is part of the key
+because two builders thread a planted witness into the scheme
+(``hamiltonicity``, ``cycle-length``): their scheme only proves the
+configuration built at the same seed.
 
-Workload builders take only primitive arguments and thread witnesses
-internally (planted Hamiltonian cycles, planted long cycles), so every
-entry point here is picklable and deterministic — the contract
-:mod:`repro.parallel.spec` requires of anything a worker process rebuilds.
+Builders take only primitive arguments, so every one is picklable by
+reference and deterministic — the contract :mod:`repro.parallel.spec`
+requires of anything a worker process rebuilds.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, Mapping, Tuple
 
 from repro.core.boosting import BoostedRPLS
 from repro.core.compiler import FingerprintCompiledRPLS
@@ -79,30 +90,26 @@ class UnknownSchemeError(KeyError):
     """An unregistered scheme name — the explicit no-silent-fallback error."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerdictSpec:
-    """One scheme as (label parser, kernel family, parameters).
+    """One scheme as (sized builder, kernel family, matrix sizes).
 
-    ``base`` is a zero-argument factory for the deterministic base scheme
-    (the label parser); ``family`` selects the kernel wrapper around it.
-    ``scheme`` overrides both for schemes that ship their own engine hooks
-    pre-wired (``DirectUnifRPLS``, ``UniversalRPLS`` subclasses) — the
-    family then documents which kernel the scheme's hooks feed.
-
-    ``workload`` builds the spec's default *clean* configuration (predicate
-    holds; the prover's labels are honest) from a seed; ``fault`` builds a
-    *violating* configuration over the same node set, so honest labels can
-    be replayed against it (the classic stale-state workload).  Both must
-    be module-level and deterministic.
+    ``build`` is a module-level ``build(**sizes) -> (scheme,
+    configuration)``: the scheme and a *clean* configuration (predicate
+    holds; the prover's labels are honest), fully determined by its keyword
+    sizes, ``seed`` among them.  Its defaults are the campaign-sized
+    workload; ``matrix_sizes`` overrides the few sizes the differential
+    matrix shrinks.  ``fault(clean, sizes)`` builds a *violating*
+    configuration over the clean one's node set, so honest labels can be
+    replayed against it (the classic stale-state workload); ``sizes`` is
+    every keyword the builder received.
     """
 
     name: str
     family: str
-    workload: Callable[[int], object]
-    base: Optional[Callable[[], object]] = None
-    scheme: Optional[Callable[[], RandomizedScheme]] = None
-    repetitions: int = 1
-    fault: Optional[Callable[[int], object]] = None
+    build: Callable[..., Tuple[RandomizedScheme, object]]
+    fault: Callable[[object, Dict[str, int]], object]
+    matrix_sizes: Mapping[str, int] = field(default_factory=dict)
     note: str = ""
 
     def __post_init__(self) -> None:
@@ -110,36 +117,34 @@ class VerdictSpec:
             raise ValueError(
                 f"unknown kernel family {self.family!r} (choose from {FAMILIES})"
             )
-        if (self.base is None) == (self.scheme is None):
+        try:
+            self.sizes(seed=0)
+        except TypeError as exc:
             raise ValueError(
-                f"spec {self.name!r} needs exactly one of base= or scheme="
-            )
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+                f"spec {self.name!r}: matrix_sizes do not fit "
+                f"{self.build.__name__}: {exc}"
+            ) from None
 
     @property
     def randomness(self) -> str:
         """The randomness mode this spec's scheme verifies under."""
         return FAMILY_RANDOMNESS[self.family]
 
+    def sizes(self, seed: int) -> Dict[str, int]:
+        """Every keyword the builder receives for the matrix workload."""
+        bound = inspect.signature(self.build).bind(**self.matrix_sizes, seed=seed)
+        bound.apply_defaults()
+        return dict(bound.arguments)
 
-def build_scheme(spec: VerdictSpec) -> RandomizedScheme:
-    """Construct a fresh engine-ready scheme from a spec.
 
-    Dispatch on the kernel family: fingerprint wraps the base parser in the
-    Theorem 3.1 compiler, parity in the shared-coins compiler, threshold in
-    certificate boosting over the compiled base.  The result always carries
-    engine hooks — asserted here, so a wrapper losing its hooks fails at
-    build time, not as a silent generic-path fallback.
+def build_scheme(spec: VerdictSpec, seed: int = 0) -> RandomizedScheme:
+    """A fresh scheme from the spec's builder at matrix sizes and ``seed``.
+
+    The result always carries engine hooks — asserted here, so a wrapper
+    losing its hooks fails at build time, not as a silent generic-path
+    fallback.
     """
-    if spec.scheme is not None:
-        scheme = spec.scheme()
-    elif spec.family == "fingerprint":
-        scheme = FingerprintCompiledRPLS(spec.base(), repetitions=spec.repetitions)
-    elif spec.family == "parity":
-        scheme = SharedCoinsCompiledRPLS(spec.base(), repetitions=spec.repetitions)
-    else:  # threshold
-        scheme = BoostedRPLS(FingerprintCompiledRPLS(spec.base()), spec.repetitions)
+    scheme = spec.build(**spec.sizes(seed))[0]
     if not engine_hooks_available(scheme):
         raise RuntimeError(
             f"spec {spec.name!r} built a scheme without engine hooks"
@@ -152,7 +157,7 @@ def build_scheme(spec: VerdictSpec) -> RandomizedScheme:
 # ---------------------------------------------------------------------------
 
 _REGISTRY: Dict[str, VerdictSpec] = {}
-_SCHEME_MEMO: Dict[str, RandomizedScheme] = {}
+_SCHEME_MEMO: Dict[Tuple[str, int], RandomizedScheme] = {}
 _LOCK = threading.Lock()
 
 
@@ -187,31 +192,31 @@ def iter_specs() -> Iterator[VerdictSpec]:
         yield _REGISTRY[name]
 
 
-def scheme_for(spec: VerdictSpec) -> RandomizedScheme:
-    """The memoized scheme instance of a registered spec.
+def scheme_for(spec: VerdictSpec, seed: int = 0) -> RandomizedScheme:
+    """The memoized scheme of a registered spec's matrix workload at ``seed``.
 
-    One instance per spec name, process-wide: schemes are stateless after
-    construction, and a stable identity is what lets
+    One instance per (spec name, seed), process-wide: schemes are stateless
+    after construction, and a stable identity is what lets
     :class:`~repro.engine.cache.PlanCache` (which keys schemes by ``id()``)
-    key plans on spec identity.
+    key plans on spec identity.  Pair it with
+    :func:`clean_configuration` at the same seed.
     """
+    key = (spec.name, seed)
     with _LOCK:
-        scheme = _SCHEME_MEMO.get(spec.name)
+        scheme = _SCHEME_MEMO.get(key)
         if scheme is None:
-            scheme = _SCHEME_MEMO[spec.name] = build_scheme(spec)
+            scheme = _SCHEME_MEMO[key] = build_scheme(spec, seed)
         return scheme
 
 
 def clean_configuration(spec: VerdictSpec, seed: int = 0):
-    """The spec's default legal workload (predicate holds)."""
-    return spec.workload(seed)
+    """The spec's legal matrix workload (predicate holds)."""
+    return spec.build(**spec.sizes(seed))[1]
 
 
 def fault_configuration(spec: VerdictSpec, seed: int = 0):
-    """The spec's violating workload over the same node set, if declared."""
-    if spec.fault is None:
-        return None
-    return spec.fault(seed)
+    """The spec's violating matrix workload over the same node set."""
+    return spec.fault(clean_configuration(spec, seed), spec.sizes(seed))
 
 
 def spec_plan(
@@ -224,13 +229,14 @@ def spec_plan(
 ) -> VerificationPlan:
     """Compile a guaranteed-fast-path plan for a registered scheme.
 
-    ``configuration=None`` uses the spec's default clean workload at
-    ``seed``.  Pass a :class:`~repro.engine.cache.PlanCache` as ``cache``
-    to resolve through it (keyed on the memoized scheme instance, i.e. on
-    spec identity).  Unknown names raise :class:`UnknownSchemeError`.
+    ``configuration=None`` uses the spec's clean matrix workload at
+    ``seed`` (the scheme is always the one built at ``seed``).  Pass a
+    :class:`~repro.engine.cache.PlanCache` as ``cache`` to resolve through
+    it (keyed on the memoized scheme instance, i.e. on spec identity).
+    Unknown names raise :class:`UnknownSchemeError`.
     """
     spec = get_spec(name)
-    scheme = scheme_for(spec)
+    scheme = scheme_for(spec, seed)
     if configuration is None:
         configuration = clean_configuration(spec, seed)
     if cache is not None:
@@ -251,7 +257,7 @@ def spec_plan(
 
 
 # ---------------------------------------------------------------------------
-# workload builders (module-level: picklable, deterministic, primitive args)
+# sized builders (module-level: picklable, deterministic, primitive args)
 # ---------------------------------------------------------------------------
 #
 # Scheme imports stay inside the builders: repro.schemes modules lazily
@@ -259,187 +265,185 @@ def spec_plan(
 # imports here would tie the packages into a cycle.
 
 
-def _spanning_tree_clean(seed: int):
+def build_spanning_tree(node_count: int = 60, extra_edges: int = 15, seed: int = 1):
+    """The Theorem 3.1 fingerprint compiler on a random spanning tree."""
     from repro.graphs.generators import spanning_tree_configuration
+    from repro.schemes.spanning_tree import SpanningTreePLS
 
-    return spanning_tree_configuration(14, 4, seed=seed)
-
-
-def _spanning_tree_fault(seed: int):
-    from repro.graphs.generators import corrupt_spanning_tree
-
-    return corrupt_spanning_tree(_spanning_tree_clean(seed), seed=seed + 1)
+    scheme = FingerprintCompiledRPLS(SpanningTreePLS())
+    return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
 
 
-def _uniform_clean(seed: int):
+def build_boosting(
+    node_count: int = 60, extra_edges: int = 15, seed: int = 1, t: int = 3
+):
+    """The footnote-1 boosted compiler (soundness error ``3**-t``)."""
+    from repro.graphs.generators import spanning_tree_configuration
+    from repro.schemes.spanning_tree import SpanningTreePLS
+
+    scheme = BoostedRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), t)
+    return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
+
+
+def build_shared_coins(node_count: int = 60, extra_edges: int = 15, seed: int = 1):
+    """The Section 6 shared-coins compiler (public coins; parity kernel)."""
+    from repro.graphs.generators import spanning_tree_configuration
+    from repro.schemes.spanning_tree import SpanningTreePLS
+
+    scheme = SharedCoinsCompiledRPLS(SpanningTreePLS())
+    return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
+
+
+def build_uniformity(node_count: int = 10, payload_bits: int = 24, seed: int = 2):
+    """The Lemma C.3 direct Unif scheme on equal payloads (label-free)."""
     from repro.graphs.generators import uniform_configuration
+    from repro.schemes.uniformity import DirectUnifRPLS
 
-    return uniform_configuration(10, 16, equal=True, seed=seed)
-
-
-def _uniform_fault(seed: int):
-    from repro.graphs.generators import uniform_configuration
-
-    return uniform_configuration(10, 16, equal=False, seed=seed)
+    return DirectUnifRPLS(), uniform_configuration(
+        node_count, payload_bits, equal=True, seed=seed
+    )
 
 
-def _mst_clean(seed: int):
+def build_mst(node_count: int = 48, seed: int = 1):
+    """The Borůvka-trace MST scheme — the largest-label workload."""
     from repro.graphs.generators import mst_configuration
+    from repro.schemes.mst import mst_rpls
 
-    return mst_configuration(10, seed=seed)
-
-
-def _mst_fault(seed: int):
-    from repro.graphs.generators import corrupt_mst_swap
-
-    return corrupt_mst_swap(_mst_clean(seed), seed=seed + 1)
+    return mst_rpls(), mst_configuration(node_count, seed=seed)
 
 
-def _flow_clean(seed: int):
+def build_flow(k: int = 2, path_length: int = 4, decoy_edges: int = 3, seed: int = 3):
+    """The k-flow certification scheme on a planted flow network."""
     from repro.graphs.generators import flow_configuration
+    from repro.schemes.flow import k_flow_rpls
 
-    return flow_configuration(2, path_length=3, decoy_edges=1, seed=seed)
-
-
-def _flow_fault(seed: int):
-    from repro.graphs.generators import corrupt_claimed_k
-
-    return corrupt_claimed_k(_flow_clean(seed))
+    return k_flow_rpls(), flow_configuration(
+        k, path_length=path_length, decoy_edges=decoy_edges, seed=seed
+    )
 
 
-def _distance_clean(seed: int):
+def build_distance(node_count: int = 32, extra_edges: int = 10, seed: int = 4):
+    """Weighted single-source distance certification."""
     from repro.graphs.workloads import distance_configuration
+    from repro.schemes.distance import distance_rpls
 
-    return distance_configuration(10, 3, seed=seed, weighted=True)
-
-
-def _distance_fault(seed: int):
-    from repro.graphs.workloads import corrupt_distance
-
-    return corrupt_distance(_distance_clean(seed), seed=seed + 1)
+    return distance_rpls(weighted=True), distance_configuration(
+        node_count, extra_edges, seed=seed, weighted=True
+    )
 
 
-def _acyclicity_clean(seed: int):
+def build_acyclicity(node_count: int = 40, seed: int = 2):
+    """The [31] root-distance forest scheme on a random tree."""
     from repro.graphs.generators import tree_only_configuration
+    from repro.schemes.acyclicity import AcyclicityPLS
 
-    return tree_only_configuration(12, seed=seed)
-
-
-def _acyclicity_fault(seed: int):
-    from repro.graphs.generators import spanning_tree_configuration
-
-    # Same node set, three chords: every chord closes a cycle.
-    return spanning_tree_configuration(12, 3, seed=seed)
+    return (
+        FingerprintCompiledRPLS(AcyclicityPLS()),
+        tree_only_configuration(node_count, seed=seed),
+    )
 
 
-def _biconnectivity_clean(seed: int):
+def build_biconnectivity(node_count: int = 36, seed: int = 2):
+    """The Theorem 5.2 DFS/lowpoint scheme on a random biconnected graph."""
     from repro.graphs.generators import random_biconnected_configuration
+    from repro.schemes.biconnectivity import BiconnectivityPLS
 
-    return random_biconnected_configuration(12, seed=seed)
-
-
-def _biconnectivity_fault(seed: int):
-    from repro.graphs.generators import tree_only_configuration
-
-    # A tree on the same nodes: every internal node is a cut vertex.
-    return tree_only_configuration(12, seed=seed)
+    return (
+        FingerprintCompiledRPLS(BiconnectivityPLS()),
+        random_biconnected_configuration(node_count, seed=seed),
+    )
 
 
-def _bipartiteness_clean(seed: int):
+def build_bipartiteness(
+    left: int = 18, right: int = 18, extra_edges: int = 8, seed: int = 2
+):
+    """The planted 2-coloring witness under public coins (parity kernel)."""
     from repro.graphs.workloads import random_bipartite_configuration
+    from repro.schemes.bipartiteness import BipartitenessPLS
 
-    return random_bipartite_configuration(6, 6, extra_edges=3, seed=seed)
-
-
-def _bipartiteness_fault(seed: int):
-    from repro.graphs.workloads import odd_cycle_configuration
-
-    return odd_cycle_configuration(12, seed=seed)
+    return (
+        SharedCoinsCompiledRPLS(BipartitenessPLS(), repetitions=2),
+        random_bipartite_configuration(left, right, extra_edges=extra_edges, seed=seed),
+    )
 
 
-def _coloring_clean(seed: int):
+def build_coloring(node_count: int = 40, colors: int = 4, seed: int = 2):
+    """The intro proper-coloring warm-up on a greedily colored graph."""
     from repro.graphs.generators import colored_configuration
+    from repro.schemes.coloring import ColoringPLS
 
-    return colored_configuration(12, 3, proper=True, seed=seed)
-
-
-def _coloring_fault(seed: int):
-    from repro.graphs.generators import colored_configuration
-
-    # Same graph (same seed draws), one planted color conflict.
-    return colored_configuration(12, 3, proper=False, seed=seed)
+    return (
+        FingerprintCompiledRPLS(ColoringPLS()),
+        colored_configuration(node_count, colors, proper=True, seed=seed),
+    )
 
 
-def _cycle_length_clean(seed: int):
+def build_cycle_length(
+    node_count: int = 40, cycle_length: int = 12, c: int = 8, seed: int = 2
+):
+    """The Theorem 5.3 cycle-at-least-c scheme, witness planted and passed."""
     from repro.graphs.generators import planted_cycle_configuration
+    from repro.schemes.cycle_length import CycleAtLeastPLS
 
-    configuration, _witness = planted_cycle_configuration(12, 6, seed=seed)
-    return configuration
-
-
-def _cycle_length_fault(seed: int):
-    from repro.graphs.generators import tree_only_configuration
-
-    # A tree contains no cycle at all — cycle-at-least-c maximally false.
-    return tree_only_configuration(12, seed=seed)
+    configuration, witness = planted_cycle_configuration(
+        node_count, cycle_length, seed=seed
+    )
+    return FingerprintCompiledRPLS(CycleAtLeastPLS(c, witness=witness)), configuration
 
 
-def _eulerian_clean(seed: int):
+def build_eulerian(node_count: int = 30, seed: int = 2):
+    """Zero-bit labels (kappa=0): the compiler's smallest-label workload."""
     from repro.graphs.workloads import eulerian_configuration
+    from repro.schemes.eulerian import EulerianPLS
 
-    return eulerian_configuration(10, seed=seed)
-
-
-def _eulerian_fault(seed: int):
-    from repro.graphs.workloads import non_eulerian_configuration
-
-    return non_eulerian_configuration(10, seed=seed)
+    return (
+        FingerprintCompiledRPLS(EulerianPLS()),
+        eulerian_configuration(node_count, seed=seed),
+    )
 
 
-def _hamiltonicity_clean(seed: int):
+def build_hamiltonicity(
+    node_count: int = 24, extra_edges: int = 10, seed: int = 2, t: int = 2
+):
+    """Cycle-at-least-n boosted t-fold, witness planted and passed."""
     from repro.graphs.workloads import hamiltonian_configuration
+    from repro.schemes.hamiltonicity import HamiltonicityPLS
 
-    configuration, _order = hamiltonian_configuration(10, 4, seed=seed)
-    return configuration
+    configuration, order = hamiltonian_configuration(
+        node_count, extra_edges, seed=seed
+    )
+    scheme = BoostedRPLS(
+        FingerprintCompiledRPLS(HamiltonicityPLS(witness=order)), t
+    )
+    return scheme, configuration
 
 
-def _hamiltonicity_fault(seed: int):
-    from repro.graphs.generators import tree_only_configuration
-
-    return tree_only_configuration(10, seed=seed)
-
-
-def _leader_clean(seed: int):
+def build_leader(node_count: int = 36, extra_edges: int = 10, seed: int = 2):
+    """Leader agreement via compiled id republication."""
     from repro.graphs.workloads import leader_configuration
+    from repro.schemes.leader import leader_rpls
 
-    return leader_configuration(10, 3, seed=seed)
-
-
-def _leader_fault(seed: int):
-    from repro.graphs.workloads import corrupt_leader_disagreement
-
-    return corrupt_leader_disagreement(_leader_clean(seed), seed=seed + 1)
+    return leader_rpls(), leader_configuration(node_count, extra_edges, seed=seed)
 
 
-def _mis_clean(seed: int):
+def build_mis(node_count: int = 36, extra_edges: int = 10, seed: int = 2):
+    """1-bit MIS labels under the GF(2) parity kernel (public coins)."""
     from repro.graphs.workloads import mis_configuration
+    from repro.schemes.mis import MISPLS
 
-    return mis_configuration(10, 3, seed=seed)
-
-
-def _mis_fault(seed: int):
-    from repro.graphs.workloads import corrupt_mis_independence
-
-    return corrupt_mis_independence(_mis_clean(seed), seed=seed + 1)
+    return (
+        SharedCoinsCompiledRPLS(MISPLS(), repetitions=2),
+        mis_configuration(node_count, extra_edges, seed=seed),
+    )
 
 
-def _symmetry_pair(seed: int, equal: bool):
+def _symmetry_pair(lam: int, seed: int, equal: bool):
+    """``G(x, y)`` of Figure 4 with a seeded ``x`` and ``y = x`` or one bit off."""
     import random
 
     from repro.core.bitstrings import BitString
     from repro.graphs.generators import sym_pair_configuration
 
-    lam = 3
     rng = random.Random(seed)
     x = BitString(rng.getrandbits(lam), lam)
     y = x if equal else BitString(x.value ^ (1 << rng.randrange(lam)), lam)
@@ -447,126 +451,115 @@ def _symmetry_pair(seed: int, equal: bool):
     return configuration
 
 
-def _symmetry_clean(seed: int):
-    return _symmetry_pair(seed, equal=True)
-
-
-def _symmetry_fault(seed: int):
-    # G(x, y) with x != y on the same gadget nodes: Sym fails (Claim C.2).
-    return _symmetry_pair(seed, equal=False)
-
-
-def _vertex_connectivity_clean(seed: int):
-    from repro.graphs.generators import vertex_connectivity_configuration
-
-    return vertex_connectivity_configuration(2, path_length=3, decoy_edges=1, seed=seed)
-
-
-def _vertex_connectivity_fault(seed: int):
-    from repro.graphs.generators import corrupt_claimed_k
-
-    return corrupt_claimed_k(_vertex_connectivity_clean(seed))
-
-
-# base parsers / direct schemes (module-level zero-arg factories)
-
-
-def _spanning_tree_pls():
-    from repro.schemes.spanning_tree import SpanningTreePLS
-
-    return SpanningTreePLS()
-
-
-def _unif_scheme():
-    from repro.schemes.uniformity import DirectUnifRPLS
-
-    return DirectUnifRPLS()
-
-
-def _mst_scheme():
-    from repro.schemes.mst import mst_rpls
-
-    return mst_rpls()
-
-
-def _flow_scheme():
-    from repro.schemes.flow import k_flow_rpls
-
-    return k_flow_rpls()
-
-
-def _distance_scheme():
-    from repro.schemes.distance import distance_rpls
-
-    return distance_rpls(weighted=True)
-
-
-def _acyclicity_pls():
-    from repro.schemes.acyclicity import AcyclicityPLS
-
-    return AcyclicityPLS()
-
-
-def _biconnectivity_pls():
-    from repro.schemes.biconnectivity import BiconnectivityPLS
-
-    return BiconnectivityPLS()
-
-
-def _bipartiteness_pls():
-    from repro.schemes.bipartiteness import BipartitenessPLS
-
-    return BipartitenessPLS()
-
-
-def _coloring_pls():
-    from repro.schemes.coloring import ColoringPLS
-
-    return ColoringPLS()
-
-
-def _cycle_length_pls():
-    from repro.schemes.cycle_length import CycleAtLeastPLS
-
-    # c=4 against the planted 6-cycle; the prover searches the (planted,
-    # hence cheap to find) witness itself, keeping the factory zero-arg.
-    return CycleAtLeastPLS(4)
-
-
-def _eulerian_pls():
-    from repro.schemes.eulerian import EulerianPLS
-
-    return EulerianPLS()
-
-
-def _hamiltonicity_pls():
-    from repro.schemes.hamiltonicity import HamiltonicityPLS
-
-    return HamiltonicityPLS()
-
-
-def _leader_pls():
-    from repro.schemes.leader import LeaderAgreementPLS
-
-    return LeaderAgreementPLS()
-
-
-def _mis_pls():
-    from repro.schemes.mis import MISPLS
-
-    return MISPLS()
-
-
-def _symmetry_scheme():
+def build_symmetry(lam: int = 6, seed: int = 2):
+    """Corollary 3.4's universal scheme on the Figure 4 Sym gadget (x == y)."""
     from repro.schemes.symmetry import sym_universal_rpls
 
-    return sym_universal_rpls()
+    return sym_universal_rpls(), _symmetry_pair(lam, seed, equal=True)
 
 
-def _vertex_connectivity_pls():
+def build_vertex_connectivity(
+    path_count: int = 3, path_length: int = 3, decoy_edges: int = 2,
+    seed: int = 2, t: int = 2,
+):
+    """s-t vertex connectivity, boosted t-fold."""
+    from repro.graphs.generators import vertex_connectivity_configuration
     from repro.schemes.vertex_connectivity import STVertexConnectivityPLS
 
-    return STVertexConnectivityPLS()
+    scheme = BoostedRPLS(FingerprintCompiledRPLS(STVertexConnectivityPLS()), t)
+    return scheme, vertex_connectivity_configuration(
+        path_count, path_length=path_length, decoy_edges=decoy_edges, seed=seed
+    )
+
+
+# ---------------------------------------------------------------------------
+# fault builders: fault(clean configuration, builder sizes)
+# ---------------------------------------------------------------------------
+
+
+def _spanning_tree_fault(clean, sizes):
+    from repro.graphs.generators import corrupt_spanning_tree
+
+    return corrupt_spanning_tree(clean, seed=sizes["seed"] + 1)
+
+
+def _uniformity_fault(clean, sizes):
+    from repro.graphs.generators import uniform_configuration
+
+    return uniform_configuration(
+        sizes["node_count"], sizes["payload_bits"], equal=False, seed=sizes["seed"]
+    )
+
+
+def _mst_fault(clean, sizes):
+    from repro.graphs.generators import corrupt_mst_swap
+
+    return corrupt_mst_swap(clean, seed=sizes["seed"] + 1)
+
+
+def _claimed_k_fault(clean, sizes):
+    from repro.graphs.generators import corrupt_claimed_k
+
+    return corrupt_claimed_k(clean)
+
+
+def _distance_fault(clean, sizes):
+    from repro.graphs.workloads import corrupt_distance
+
+    return corrupt_distance(clean, seed=sizes["seed"] + 1)
+
+
+def _acyclicity_fault(clean, sizes):
+    from repro.graphs.generators import spanning_tree_configuration
+
+    # Same node set, three chords: every chord closes a cycle.
+    return spanning_tree_configuration(sizes["node_count"], 3, seed=sizes["seed"])
+
+
+def _tree_fault(clean, sizes):
+    from repro.graphs.generators import tree_only_configuration
+
+    # A tree on the same nodes: every internal node is a cut vertex, and
+    # there is no cycle at all (cycle-at-least-c maximally false).
+    return tree_only_configuration(sizes["node_count"], seed=sizes["seed"])
+
+
+def _bipartiteness_fault(clean, sizes):
+    from repro.graphs.workloads import odd_cycle_configuration
+
+    return odd_cycle_configuration(sizes["left"] + sizes["right"], seed=sizes["seed"])
+
+
+def _coloring_fault(clean, sizes):
+    from repro.graphs.generators import colored_configuration
+
+    # Same graph (same seed draws), one planted color conflict.
+    return colored_configuration(
+        sizes["node_count"], sizes["colors"], proper=False, seed=sizes["seed"]
+    )
+
+
+def _eulerian_fault(clean, sizes):
+    from repro.graphs.workloads import non_eulerian_configuration
+
+    return non_eulerian_configuration(sizes["node_count"], seed=sizes["seed"])
+
+
+def _leader_fault(clean, sizes):
+    from repro.graphs.workloads import corrupt_leader_disagreement
+
+    return corrupt_leader_disagreement(clean, seed=sizes["seed"] + 1)
+
+
+def _mis_fault(clean, sizes):
+    from repro.graphs.workloads import corrupt_mis_independence
+
+    return corrupt_mis_independence(clean, seed=sizes["seed"] + 1)
+
+
+def _symmetry_fault(clean, sizes):
+    # G(x, y) with x != y on the same gadget nodes: Sym fails (Claim C.2).
+    return _symmetry_pair(sizes["lam"], sizes["seed"], equal=False)
 
 
 # ---------------------------------------------------------------------------
@@ -579,161 +572,157 @@ def _vertex_connectivity_pls():
 # tests/test_verdict_specs.py asserts this set exactly — removing an entry
 # (or registering one the matrix does not expect) fails tier-1.
 
+_SPANNING_TREE_MATRIX = {"node_count": 14, "extra_edges": 4}
+
 register(VerdictSpec(
     name="fingerprint",
     family="fingerprint",
-    base=_spanning_tree_pls,
-    workload=_spanning_tree_clean,
+    build=build_spanning_tree,
     fault=_spanning_tree_fault,
+    matrix_sizes=_SPANNING_TREE_MATRIX,
     note="Theorem 3.1 compiler exemplar (spanning-tree base)",
 ))
 register(VerdictSpec(
     name="uniformity",
     family="fingerprint",
-    scheme=_unif_scheme,
-    workload=_uniform_clean,
-    fault=_uniform_fault,
+    build=build_uniformity,
+    fault=_uniformity_fault,
+    matrix_sizes={"payload_bits": 16},
     note="Lemma C.3 direct Unif scheme (scalar fingerprint check)",
 ))
 register(VerdictSpec(
     name="boosting",
     family="threshold",
-    base=_spanning_tree_pls,
-    repetitions=2,
-    workload=_spanning_tree_clean,
+    build=build_boosting,
     fault=_spanning_tree_fault,
+    matrix_sizes={**_SPANNING_TREE_MATRIX, "t": 2},
     note="footnote-1 boosting, soundness error 3**-t",
 ))
 register(VerdictSpec(
     name="shared-coins",
     family="parity",
-    base=_spanning_tree_pls,
-    repetitions=2,
-    workload=_spanning_tree_clean,
+    build=build_shared_coins,
     fault=_spanning_tree_fault,
+    matrix_sizes=_SPANNING_TREE_MATRIX,
     note="Section 6 public-coins compiler (GF(2) parity kernel)",
 ))
 register(VerdictSpec(
     name="mst",
     family="fingerprint",
-    scheme=_mst_scheme,
-    workload=_mst_clean,
+    build=build_mst,
     fault=_mst_fault,
+    matrix_sizes={"node_count": 10},
     note="Theorem 5.1 Borůvka-trace scheme",
 ))
 register(VerdictSpec(
     name="flow",
     family="fingerprint",
-    scheme=_flow_scheme,
-    workload=_flow_clean,
-    fault=_flow_fault,
+    build=build_flow,
+    fault=_claimed_k_fault,
+    matrix_sizes={"path_length": 3, "decoy_edges": 1},
     note="Section 5.2 k-flow certification",
 ))
 register(VerdictSpec(
     name="distance",
     family="fingerprint",
-    scheme=_distance_scheme,
-    workload=_distance_clean,
+    build=build_distance,
     fault=_distance_fault,
+    matrix_sizes={"node_count": 10, "extra_edges": 3},
     note="weighted SSSP distance certification",
 ))
 register(VerdictSpec(
     name="acyclicity",
     family="fingerprint",
-    base=_acyclicity_pls,
-    workload=_acyclicity_clean,
+    build=build_acyclicity,
     fault=_acyclicity_fault,
+    matrix_sizes={"node_count": 12},
     note="root-distance forest certification ([31])",
 ))
 register(VerdictSpec(
     name="biconnectivity",
     family="fingerprint",
-    base=_biconnectivity_pls,
-    workload=_biconnectivity_clean,
-    fault=_biconnectivity_fault,
+    build=build_biconnectivity,
+    fault=_tree_fault,
+    matrix_sizes={"node_count": 12},
     note="Theorem 5.2 DFS/lowpoint scheme",
 ))
 register(VerdictSpec(
     name="bipartiteness",
     family="parity",
-    base=_bipartiteness_pls,
-    repetitions=2,
-    workload=_bipartiteness_clean,
+    build=build_bipartiteness,
     fault=_bipartiteness_fault,
+    matrix_sizes={"left": 6, "right": 6, "extra_edges": 3},
     note="planted 2-coloring witness under public coins",
 ))
 register(VerdictSpec(
     name="coloring",
     family="fingerprint",
-    base=_coloring_pls,
-    workload=_coloring_clean,
+    build=build_coloring,
     fault=_coloring_fault,
+    matrix_sizes={"node_count": 12, "colors": 3},
     note="intro warm-up: proper c-coloring",
 ))
 register(VerdictSpec(
     name="cycle-length",
     family="fingerprint",
-    base=_cycle_length_pls,
-    workload=_cycle_length_clean,
-    fault=_cycle_length_fault,
+    build=build_cycle_length,
+    fault=_tree_fault,
+    matrix_sizes={"node_count": 12, "cycle_length": 6, "c": 4},
     note="Theorem 5.3 cycle-at-least-c witness scheme",
 ))
 register(VerdictSpec(
     name="eulerian",
     family="fingerprint",
-    base=_eulerian_pls,
-    workload=_eulerian_clean,
+    build=build_eulerian,
     fault=_eulerian_fault,
+    matrix_sizes={"node_count": 10},
     note="zero-bit labels: the kappa=0 edge case of the compiler",
 ))
 register(VerdictSpec(
     name="hamiltonicity",
     family="threshold",
-    base=_hamiltonicity_pls,
-    repetitions=2,
-    workload=_hamiltonicity_clean,
-    fault=_hamiltonicity_fault,
+    build=build_hamiltonicity,
+    fault=_tree_fault,
+    matrix_sizes={"node_count": 10, "extra_edges": 4},
     note="cycle-at-least-n, boosted t=2",
 ))
 register(VerdictSpec(
     name="leader",
     family="fingerprint",
-    base=_leader_pls,
-    workload=_leader_clean,
+    build=build_leader,
     fault=_leader_fault,
+    matrix_sizes={"node_count": 10, "extra_edges": 3},
     note="leader agreement via compiled id republication",
 ))
 register(VerdictSpec(
     name="mis",
     family="parity",
-    base=_mis_pls,
-    repetitions=2,
-    workload=_mis_clean,
+    build=build_mis,
     fault=_mis_fault,
+    matrix_sizes={"node_count": 10, "extra_edges": 3},
     note="1-bit MIS labels under the parity kernel",
 ))
 register(VerdictSpec(
     name="spanning-tree",
     family="fingerprint",
-    base=_spanning_tree_pls,
-    workload=_spanning_tree_clean,
+    build=build_spanning_tree,
     fault=_spanning_tree_fault,
+    matrix_sizes=_SPANNING_TREE_MATRIX,
     note="the intro Theta(log n) scheme as a first-class zoo entry",
 ))
 register(VerdictSpec(
     name="symmetry",
     family="fingerprint",
-    scheme=_symmetry_scheme,
-    workload=_symmetry_clean,
+    build=build_symmetry,
     fault=_symmetry_fault,
+    matrix_sizes={"lam": 3},
     note="Corollary 3.4 universal scheme on the Figure 4 Sym gadget",
 ))
 register(VerdictSpec(
     name="vertex-connectivity",
     family="threshold",
-    base=_vertex_connectivity_pls,
-    repetitions=2,
-    workload=_vertex_connectivity_clean,
-    fault=_vertex_connectivity_fault,
+    build=build_vertex_connectivity,
+    fault=_claimed_k_fault,
+    matrix_sizes={"path_count": 2, "decoy_edges": 1},
     note="s-t vertex connectivity, boosted t=2",
 ))

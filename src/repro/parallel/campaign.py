@@ -51,7 +51,7 @@ from repro.parallel.executors import (
     estimate_acceptance_sharded,
     resolve_executor,
 )
-from repro.parallel.factories import workload_spec
+from repro.parallel.factories import default_rng_mode, workload_spec
 from repro.parallel.spec import PlanSpec
 from repro.simulation.metrics import AcceptanceEstimate
 
@@ -111,7 +111,7 @@ class Campaign:
         cls,
         name: str,
         workloads: Sequence[Union[str, Tuple[str, Dict]]],
-        rng_modes: Sequence[str] = ("vector",),
+        rng_modes: Optional[Sequence[str]] = None,
         trial_budgets: Sequence[int] = (1024,),
         seeds: Sequence[int] = (0,),
         stop_halfwidth: Optional[float] = None,
@@ -121,6 +121,8 @@ class Campaign:
         ``workloads`` entries are registry names (see
         :data:`repro.parallel.factories.WORKLOADS`), optionally paired with
         size kwargs: ``("spanning-tree", {"node_count": 200})``.
+        ``rng_modes=None`` runs each workload in its own mode (see
+        :func:`~repro.parallel.factories.default_rng_mode`).
 
         >>> len(Campaign.sweep("s", ["spanning-tree", "shared-coins"],
         ...                    rng_modes=("compat", "vector"),
@@ -130,7 +132,7 @@ class Campaign:
         cells: List[Cell] = []
         for entry in workloads:
             workload, kwargs = entry if isinstance(entry, tuple) else (entry, {})
-            for rng_mode in rng_modes:
+            for rng_mode in rng_modes or (default_rng_mode(workload),):
                 spec = workload_spec(workload, rng_mode=rng_mode, **kwargs)
                 size = ",".join(f"{k}={v}" for k, v in sorted(kwargs.items()))
                 sized = f"{workload}({size})" if size else workload
@@ -262,7 +264,6 @@ def run_campaign(
     planner: Optional[ShardPlanner] = None,
     chunk_size: int = DEFAULT_CHUNK,
     chunk_policy=None,
-    vectorize: Optional[bool] = None,
     cell_parallelism: int = 1,
     stream_progress: bool = False,
     on_cell_error: str = "raise",
@@ -271,7 +272,6 @@ def run_campaign(
     max_retries: int = 0,
     global_budget: Optional[int] = None,
     target_halfwidth: Optional[float] = None,
-    min_installment: int = DEFAULT_CHUNK,
 ) -> List[Dict]:
     """Run every (not yet completed) cell; returns the new records.
 
@@ -381,7 +381,6 @@ def run_campaign(
         planner=planner,
         chunk_size=chunk_size,
         chunk_policy=chunk_policy,
-        vectorize=vectorize,
         stream_progress=stream_progress,
         shard_timeout=shard_timeout,
         max_retries=max_retries,
@@ -395,7 +394,6 @@ def run_campaign(
                     [cell.name for cell in pending],
                     global_budget,
                     target_halfwidth,
-                    min_installment=min_installment,
                 )
                 # Installments stream so the cumulative stop fires mid-shard.
                 options["stream_progress"] = True

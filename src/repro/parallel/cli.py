@@ -49,7 +49,7 @@ from repro.parallel.executors import (
     available_cpus,
     estimate_acceptance_sharded,
 )
-from repro.parallel.factories import WORKLOADS, workload_spec
+from repro.parallel.factories import WORKLOADS, default_rng_mode, workload_spec
 from repro.parallel.shards import ShardPlanner
 
 
@@ -288,7 +288,11 @@ def _build_executor(args):
 def _cmd_list(_args) -> int:
     print("workloads:")
     for name, (factory, randomness) in sorted(WORKLOADS.items()):
-        print(f"  {name:24s} randomness={randomness:7s} {factory.__module__}:{factory.__name__}")
+        print(
+            f"  {name:24s} randomness={randomness:7s} "
+            f"rng-mode={default_rng_mode(name):7s} "
+            f"{factory.__module__}:{factory.__name__}"
+        )
     print(f"executors: {', '.join(sorted(EXECUTORS))}")
     print(f"available CPUs: {available_cpus()}")
     return 0
@@ -373,7 +377,7 @@ def _cmd_campaign(args) -> int:
     campaign = Campaign.sweep(
         args.name,
         entries,
-        rng_modes=tuple(_parse_rng_modes(args.rng_modes)),
+        rng_modes=_parse_rng_modes(args.rng_modes) if args.rng_modes else None,
         trial_budgets=tuple(int(t) for t in _csv(args.trials)),
         seeds=tuple(int(s) for s in _csv(args.seeds)),
         stop_halfwidth=args.stop_halfwidth,
@@ -475,9 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     estimate.add_argument(
         "--rng-mode",
-        default="vector",
+        default=None,
         choices=RNG_MODES,
-        help="randomness derivation mode (validated here, not deep in the engine)",
+        help="randomness derivation mode (validated here, not deep in the "
+        "engine; default: the workload's own mode, vector where it has "
+        "engine hooks, compat for noisy-spanning-tree)",
     )
     estimate.add_argument("--trials", type=int, required=True)
     estimate.add_argument("--seed", type=int, default=0)
@@ -492,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--rng-modes",
-        default="vector",
-        help=f"comma-separated modes from {{{', '.join(RNG_MODES)}}}",
+        default=None,
+        help=f"comma-separated modes from {{{', '.join(RNG_MODES)}}} "
+        "(default: each workload's own mode, as for estimate --rng-mode)",
     )
     campaign.add_argument("--trials", default="1024", help="comma-separated budgets")
     campaign.add_argument("--seeds", default="0", help="comma-separated master seeds")

@@ -122,9 +122,10 @@ def _run_shard(
     ``(shard_index, accepted, trials)`` after every chunk — the progress
     conduit of :mod:`repro.parallel.progress`.  Under supervision
     (``options["heartbeat"]``) the same conduit additionally carries
-    zero-trial liveness pings at each chunk boundary; the supervisor
-    filters them out of the user-facing stream, and they are harmless to a
-    raw :class:`~repro.parallel.progress.StreamingAggregator` anyway (a
+    zero-trial liveness pings, sent from the ``should_stop`` poll the engine
+    makes before every chunk (the first included); the supervisor filters
+    them out of the user-facing stream, and they are harmless to a raw
+    :class:`~repro.parallel.progress.StreamingAggregator` anyway (a
     ``(0, 0)`` update never regresses its totals).
 
     Tracing (``options["trace"]``, a picklable
@@ -137,13 +138,16 @@ def _run_shard(
     target, shard, options = payload
     plan = target.resolve() if isinstance(target, PlanSpec) else target
     progress = None
-    heartbeat = None
     if publish is not None:
         progress = lambda accepted, trials: publish(  # noqa: E731
             shard.index, accepted, trials
         )
         if options.get("heartbeat"):
-            heartbeat = lambda: publish(shard.index, 0, 0)  # noqa: E731
+            poll = should_stop
+
+            def should_stop() -> bool:
+                publish(shard.index, 0, 0)  # liveness ping, then the poll
+                return poll()
     spec = options.get("trace")
     recorder = spec.recorder() if spec is not None else NULL_RECORDER
     attrs = None
@@ -172,11 +176,9 @@ def _run_shard(
             # session holds the mutable growth state).  `.get` keeps old
             # payload dicts (tests, recorded fixtures) valid.
             chunk_schedule=options.get("chunk_policy"),
-            vectorize=options["vectorize"],
             first_trial=shard.start,
             should_stop=should_stop,
             progress=progress,
-            heartbeat=heartbeat,
         )
         span.set("accepted", estimate.accepted)
         span.set("trials", estimate.trials)
@@ -750,16 +752,13 @@ def estimate_acceptance_sharded(
     workers: Optional[int] = None,
     planner: Optional[ShardPlanner] = None,
     shard_count: Optional[int] = None,
-    rng_mode: Optional[str] = None,
     chunk_size: int = DEFAULT_CHUNK,
     chunk_policy=None,
     stop_halfwidth: Optional[float] = None,
     min_trials: int = 2 * DEFAULT_CHUNK,
-    vectorize: Optional[bool] = None,
     stream_progress: bool = False,
     first_trial: int = 0,
     prior: Optional[Tuple[int, int]] = None,
-    progress_observer: Optional[Callable[[int, int], None]] = None,
     shard_timeout: Optional[float] = None,
     max_retries: int = 0,
     retry_policy: Optional[RetryPolicy] = None,
@@ -776,11 +775,12 @@ def estimate_acceptance_sharded(
 
     ``target`` may be a compiled plan (serial/thread backends) or a
     :class:`~repro.parallel.spec.PlanSpec` (any backend; required for
-    processes).  With ``stop_halfwidth`` set, the aggregator applies the
-    Wilson stop rule to the *merged* running estimate and cancels
-    outstanding shards cooperatively.  Without it, the result is exactly the
-    single-process estimate — see the module docstring's determinism
-    contract.
+    processes); the run uses the target's own ``rng_mode``, so a record's
+    mode is always the mode that ran.  With ``stop_halfwidth`` set, the
+    aggregator applies the Wilson stop rule to the *merged* running estimate
+    and cancels outstanding shards cooperatively.  Without it, the result is
+    exactly the single-process estimate — see the module docstring's
+    determinism contract.
 
     ``stream_progress=True`` turns on the progressive channel of
     :mod:`repro.parallel.progress`: workers publish partial cumulative
@@ -807,8 +807,6 @@ def estimate_acceptance_sharded(
       ``min_trials``) apply to the *cumulative* estimate across
       installments.  The returned estimate still reports only this call's
       counts — the caller owns the cumulative ledger.
-    - ``progress_observer`` receives the merged cumulative totals (prior
-      included) after every streamed update; observational only.
 
     Fault tolerance (``shard_timeout`` / ``max_retries`` / ``retry_policy``,
     see :mod:`repro.parallel.supervision`): setting any of them routes the
@@ -859,17 +857,14 @@ def estimate_acceptance_sharded(
         # payloads stay in-process via the `in_process` attribute; the bare
         # ProcessExecutor is the one stock backend that ships them out.
         in_process = getattr(instance, "in_process", True)
+        rng_mode = target.rng_mode
+        shard_target: Union[PlanSpec, VerificationPlan] = target
         if isinstance(target, PlanSpec):
-            if rng_mode is None:
-                rng_mode = target.rng_mode
-            shard_target: Union[PlanSpec, VerificationPlan] = target
             if in_process:
                 # Same process: resolve once and share the read-only plan.
-                shard_target = target.resolve().prepare(vectorize)
+                shard_target = target.resolve().prepare()
         else:
-            if rng_mode is None:
-                rng_mode = target.rng_mode
-            shard_target = target.prepare(vectorize)
+            shard_target = target.prepare()
 
         shards = planner.plan(trials, instance.workers)
         if first_trial:
@@ -889,7 +884,6 @@ def estimate_acceptance_sharded(
             "rng_mode": rng_mode,
             "chunk_size": chunk_size,
             "chunk_policy": chunk_policy,
-            "vectorize": vectorize,
         }
         if supervised:
             # The liveness-ping channel (see _run_shard); supervision needs
@@ -915,7 +909,6 @@ def estimate_acceptance_sharded(
             stop_halfwidth=stop_halfwidth,
             min_trials=min_trials,
             baseline=(prior_accepted, prior_trials),
-            observer=progress_observer if stream_progress else None,
         )
         on_progress = aggregator.update if stream_progress else None
 

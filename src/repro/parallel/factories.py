@@ -1,226 +1,29 @@
-"""Named, picklable workload factories for sharded and campaign runs.
+"""Named, picklable workloads for sharded and campaign runs.
 
-Every factory is a module-level callable returning ``(scheme,
+:data:`WORKLOADS` maps the short names the CLI and campaign sweeps use onto
+``(builder, randomness)`` pairs.  It is derived from the verdict-spec
+registry (:mod:`repro.engine.specs`): every spec's sized builder
+``build(**sizes) -> (scheme, configuration)`` appears under the spec's own
+name, plus two CLI names that predate the registry (``k-flow`` for the
+``flow`` spec, ``boosted-spanning-tree`` for ``boosting``).  The one
+workload the registry does not back is :func:`noisy_spanning_tree`, the
+two-sided noisy-channel scheme, which has no engine hooks by design.
+
+Every builder is a module-level callable returning ``(scheme,
 configuration)`` — the shape :class:`~repro.parallel.spec.PlanSpec`
 requires — and is fully determined by its arguments (explicit seeds
 everywhere), so the same spec rebuilds a decision-identical workload in
-every worker process.  The :data:`WORKLOADS` registry maps the short names
-the CLI and campaign sweeps use onto factories plus the randomness mode the
-scheme actually runs under (the shared-coins compiler needs public coins;
-everything else runs under edge randomness).
-
-These mirror the engine benchmark workloads (``benchmarks/bench_engine.py``,
-``benchmarks/smoke.py``) at caller-chosen sizes, so a campaign cell is
-directly comparable to the recorded single-process trajectory in
-``BENCH_engine.json``.
+every worker process.  The randomness is the mode the scheme actually runs
+under (the shared-coins compiler needs public coins; everything else runs
+under edge randomness).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.boosting import BoostedRPLS
-from repro.core.compiler import FingerprintCompiledRPLS
-from repro.core.noise import NoisyChannelRPLS
-from repro.core.shared import SharedCoinsCompiledRPLS
-from repro.graphs.generators import (
-    flow_configuration,
-    mst_configuration,
-    spanning_tree_configuration,
-)
-from repro.graphs.workloads import distance_configuration
+from repro.engine.specs import VerdictSpec, get_spec, iter_specs
 from repro.parallel.spec import PlanSpec
-from repro.schemes.distance import distance_rpls
-from repro.schemes.flow import k_flow_rpls
-from repro.schemes.mst import mst_rpls
-from repro.schemes.spanning_tree import SpanningTreePLS
-
-
-def compiled_spanning_tree(node_count: int = 60, extra_edges: int = 15, seed: int = 1):
-    """The Theorem 3.1 fingerprint compiler on a random spanning tree."""
-    scheme = FingerprintCompiledRPLS(SpanningTreePLS())
-    return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
-
-
-def boosted_spanning_tree(
-    node_count: int = 60, extra_edges: int = 15, seed: int = 1, t: int = 3
-):
-    """The footnote-1 boosted compiler (soundness error ``3**-t``)."""
-    scheme = BoostedRPLS(FingerprintCompiledRPLS(SpanningTreePLS()), t)
-    return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
-
-
-def compiled_mst(node_count: int = 48, seed: int = 1):
-    """The Borůvka-trace MST scheme — the largest-label workload."""
-    return mst_rpls(), mst_configuration(node_count, seed=seed)
-
-
-def compiled_k_flow(k: int = 2, path_length: int = 4, decoy_edges: int = 3, seed: int = 3):
-    """The k-flow certification scheme on a planted flow network."""
-    return k_flow_rpls(), flow_configuration(
-        k, path_length=path_length, decoy_edges=decoy_edges, seed=seed
-    )
-
-
-def compiled_distance(node_count: int = 32, extra_edges: int = 10, seed: int = 4):
-    """Weighted single-source distance certification."""
-    return distance_rpls(weighted=True), distance_configuration(
-        node_count, extra_edges, seed=seed, weighted=True
-    )
-
-
-def shared_coins_spanning_tree(node_count: int = 60, extra_edges: int = 15, seed: int = 1):
-    """The Section 6 shared-coins compiler (public coins; parity kernel)."""
-    scheme = SharedCoinsCompiledRPLS(SpanningTreePLS())
-    return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# the verdict-spec zoo (repro.engine.specs): one factory per registered
-# scheme that previously ran the legacy oracle only, at caller-chosen sizes
-# ---------------------------------------------------------------------------
-
-
-def compiled_acyclicity(node_count: int = 40, seed: int = 2):
-    """The [31] root-distance forest scheme on a random tree."""
-    from repro.graphs.generators import tree_only_configuration
-    from repro.schemes.acyclicity import AcyclicityPLS
-
-    return (
-        FingerprintCompiledRPLS(AcyclicityPLS()),
-        tree_only_configuration(node_count, seed=seed),
-    )
-
-
-def compiled_biconnectivity(node_count: int = 36, seed: int = 2):
-    """The Theorem 5.2 DFS/lowpoint scheme on a random biconnected graph."""
-    from repro.graphs.generators import random_biconnected_configuration
-    from repro.schemes.biconnectivity import BiconnectivityPLS
-
-    return (
-        FingerprintCompiledRPLS(BiconnectivityPLS()),
-        random_biconnected_configuration(node_count, seed=seed),
-    )
-
-
-def shared_coins_bipartiteness(
-    left: int = 18, right: int = 18, extra_edges: int = 8, seed: int = 2
-):
-    """The planted 2-coloring witness under public coins (parity kernel)."""
-    from repro.graphs.workloads import random_bipartite_configuration
-    from repro.schemes.bipartiteness import BipartitenessPLS
-
-    return (
-        SharedCoinsCompiledRPLS(BipartitenessPLS(), repetitions=2),
-        random_bipartite_configuration(left, right, extra_edges=extra_edges, seed=seed),
-    )
-
-
-def compiled_coloring(node_count: int = 40, colors: int = 4, seed: int = 2):
-    """The intro proper-coloring warm-up on a greedily colored graph."""
-    from repro.graphs.generators import colored_configuration
-    from repro.schemes.coloring import ColoringPLS
-
-    return (
-        FingerprintCompiledRPLS(ColoringPLS()),
-        colored_configuration(node_count, colors, proper=True, seed=seed),
-    )
-
-
-def compiled_cycle_length(
-    node_count: int = 40, cycle_length: int = 12, c: int = 8, seed: int = 2
-):
-    """The Theorem 5.3 cycle-at-least-c scheme, witness planted and passed."""
-    from repro.graphs.generators import planted_cycle_configuration
-    from repro.schemes.cycle_length import CycleAtLeastPLS
-
-    configuration, witness = planted_cycle_configuration(
-        node_count, cycle_length, seed=seed
-    )
-    return FingerprintCompiledRPLS(CycleAtLeastPLS(c, witness=witness)), configuration
-
-
-def compiled_eulerian(node_count: int = 30, seed: int = 2):
-    """Zero-bit labels (kappa=0): the compiler's smallest-label workload."""
-    from repro.graphs.workloads import eulerian_configuration
-    from repro.schemes.eulerian import EulerianPLS
-
-    return (
-        FingerprintCompiledRPLS(EulerianPLS()),
-        eulerian_configuration(node_count, seed=seed),
-    )
-
-
-def boosted_hamiltonicity(
-    node_count: int = 24, extra_edges: int = 10, seed: int = 2, t: int = 2
-):
-    """Cycle-at-least-n boosted t-fold, witness planted and passed."""
-    from repro.graphs.workloads import hamiltonian_configuration
-    from repro.schemes.hamiltonicity import HamiltonicityPLS
-
-    configuration, order = hamiltonian_configuration(
-        node_count, extra_edges, seed=seed
-    )
-    scheme = BoostedRPLS(
-        FingerprintCompiledRPLS(HamiltonicityPLS(witness=order)), t
-    )
-    return scheme, configuration
-
-
-def compiled_leader(node_count: int = 36, extra_edges: int = 10, seed: int = 2):
-    """Leader agreement via compiled id republication."""
-    from repro.graphs.workloads import leader_configuration
-    from repro.schemes.leader import leader_rpls
-
-    return leader_rpls(), leader_configuration(node_count, extra_edges, seed=seed)
-
-
-def shared_coins_mis(node_count: int = 36, extra_edges: int = 10, seed: int = 2):
-    """1-bit MIS labels under the GF(2) parity kernel (public coins)."""
-    from repro.graphs.workloads import mis_configuration
-    from repro.schemes.mis import MISPLS
-
-    return (
-        SharedCoinsCompiledRPLS(MISPLS(), repetitions=2),
-        mis_configuration(node_count, extra_edges, seed=seed),
-    )
-
-
-def direct_unif(node_count: int = 10, payload_bits: int = 24, seed: int = 2):
-    """The Lemma C.3 direct Unif scheme on equal payloads (label-free)."""
-    from repro.graphs.generators import uniform_configuration
-    from repro.schemes.uniformity import DirectUnifRPLS
-
-    return DirectUnifRPLS(), uniform_configuration(
-        node_count, payload_bits, equal=True, seed=seed
-    )
-
-
-def compiled_symmetry(lam: int = 6, seed: int = 2):
-    """Corollary 3.4's universal scheme on the Figure 4 Sym gadget (x == y)."""
-    import random as _random
-
-    from repro.core.bitstrings import BitString
-    from repro.graphs.generators import sym_pair_configuration
-    from repro.schemes.symmetry import sym_universal_rpls
-
-    x = BitString(_random.Random(seed).getrandbits(lam), lam)
-    configuration, _cut, _alice, _bob = sym_pair_configuration(x, x)
-    return sym_universal_rpls(), configuration
-
-
-def boosted_vertex_connectivity(
-    path_count: int = 3, path_length: int = 3, decoy_edges: int = 2,
-    seed: int = 2, t: int = 2,
-):
-    """s-t vertex connectivity, boosted t-fold."""
-    from repro.graphs.generators import vertex_connectivity_configuration
-    from repro.schemes.vertex_connectivity import STVertexConnectivityPLS
-
-    scheme = BoostedRPLS(FingerprintCompiledRPLS(STVertexConnectivityPLS()), t)
-    return scheme, vertex_connectivity_configuration(
-        path_count, path_length=path_length, decoy_edges=decoy_edges, seed=seed
-    )
 
 
 def noisy_spanning_tree(
@@ -235,45 +38,54 @@ def noisy_spanning_tree(
     noisy wrapper has no engine hooks, so this workload exercises the
     generic plan path, which runs in ``compat`` mode only (no ``vector``).
     """
+    from repro.core.compiler import FingerprintCompiledRPLS
+    from repro.core.noise import NoisyChannelRPLS
+    from repro.graphs.generators import spanning_tree_configuration
+    from repro.schemes.spanning_tree import SpanningTreePLS
+
     scheme = NoisyChannelRPLS(
         FingerprintCompiledRPLS(SpanningTreePLS()), flip_milli / 1000.0
     )
     return scheme, spanning_tree_configuration(node_count, extra_edges, seed=seed)
 
 
-# name -> (factory, randomness the scheme runs under)
-WORKLOADS: Dict[str, Tuple[object, str]] = {
-    "spanning-tree": (compiled_spanning_tree, "edge"),
-    "boosted-spanning-tree": (boosted_spanning_tree, "edge"),
-    "mst": (compiled_mst, "edge"),
-    "k-flow": (compiled_k_flow, "edge"),
-    "distance": (compiled_distance, "edge"),
-    "shared-coins": (shared_coins_spanning_tree, "shared"),
+#: CLI names that predate the spec registry -> the spec they run
+SPEC_ALIASES = {"k-flow": "flow", "boosted-spanning-tree": "boosting"}
+
+#: every workload name the spec registry backs -> its spec
+SPEC_WORKLOADS: Dict[str, VerdictSpec] = {
+    **{spec.name: spec for spec in iter_specs()},
+    **{alias: get_spec(name) for alias, name in SPEC_ALIASES.items()},
+}
+
+# name -> (builder, randomness the scheme runs under)
+WORKLOADS: Dict[str, Tuple[Callable, str]] = {
+    **{name: (spec.build, spec.randomness) for name, spec in SPEC_WORKLOADS.items()},
     "noisy-spanning-tree": (noisy_spanning_tree, "edge"),
-    # the verdict-spec zoo (see repro.engine.specs): campaigns can sweep
-    # every registered scheme, not just the original benchmark workloads
-    "acyclicity": (compiled_acyclicity, "edge"),
-    "biconnectivity": (compiled_biconnectivity, "edge"),
-    "bipartiteness": (shared_coins_bipartiteness, "shared"),
-    "coloring": (compiled_coloring, "edge"),
-    "cycle-length": (compiled_cycle_length, "edge"),
-    "eulerian": (compiled_eulerian, "edge"),
-    "hamiltonicity": (boosted_hamiltonicity, "edge"),
-    "leader": (compiled_leader, "edge"),
-    "mis": (shared_coins_mis, "shared"),
-    "symmetry": (compiled_symmetry, "edge"),
-    "uniformity": (direct_unif, "edge"),
-    "vertex-connectivity": (boosted_vertex_connectivity, "edge"),
 }
 
 
-def workload_spec(name: str, rng_mode: str = "vector", **kwargs) -> PlanSpec:
+def default_rng_mode(name: str) -> str:
+    """The rng mode a workload runs in unless told otherwise.
+
+    ``vector`` for spec-backed workloads (engine hooks, counter-based
+    coins); ``compat`` for ``noisy-spanning-tree``, whose generic plan path
+    has no vector mode.
+    """
+    return "vector" if name in SPEC_WORKLOADS else "compat"
+
+
+def workload_spec(name: str, rng_mode: Optional[str] = None, **kwargs) -> PlanSpec:
     """The :class:`PlanSpec` of a registry workload at the given size.
 
-    >>> workload_spec("spanning-tree", node_count=16).randomness
-    'edge'
+    ``rng_mode=None`` picks the workload's own mode (:func:`default_rng_mode`).
+
+    >>> workload_spec("spanning-tree", node_count=16).factory
+    'repro.engine.specs:build_spanning_tree'
     >>> workload_spec("shared-coins").randomness
     'shared'
+    >>> workload_spec("noisy-spanning-tree").rng_mode
+    'compat'
     """
     try:
         factory, randomness = WORKLOADS[name]
@@ -281,4 +93,6 @@ def workload_spec(name: str, rng_mode: str = "vector", **kwargs) -> PlanSpec:
         raise ValueError(
             f"unknown workload {name!r} (choose from {sorted(WORKLOADS)})"
         ) from None
+    if rng_mode is None:
+        rng_mode = default_rng_mode(name)
     return PlanSpec.of(factory, randomness=randomness, rng_mode=rng_mode, **kwargs)

@@ -181,12 +181,6 @@ class StreamingAggregator:
     Wilson interval rather than the installment's own.  A baseline that
     already satisfies the stop rule latches it at construction (the bound
     stop fires immediately).
-
-    ``observer``, when set, receives the merged cumulative ``(accepted,
-    trials)`` totals after every folded update — the live feed a
-    :class:`~repro.parallel.controller.CampaignAllocator` (or any other
-    monitor) consumes.  Observational only: called outside the aggregator
-    lock, after the stop decision for that update is made.
     """
 
     def __init__(
@@ -194,7 +188,6 @@ class StreamingAggregator:
         stop_halfwidth: Optional[float] = None,
         min_trials: int = 0,
         baseline: Tuple[int, int] = (0, 0),
-        observer: Optional[Callable[[int, int], None]] = None,
     ):
         base_accepted, base_trials = baseline
         if base_accepted < 0 or base_trials < 0 or base_accepted > base_trials:
@@ -206,7 +199,6 @@ class StreamingAggregator:
         self._stop_cb: Optional[Callable[[], None]] = None
         self._satisfied = False
         self._fired = False
-        self._observer = observer
         self.accepted = base_accepted
         self.trials = base_trials
         self.updates = 0
@@ -258,11 +250,8 @@ class StreamingAggregator:
                     if self._stop_cb is not None and not self._fired:
                         self._fired = True
                         fire = self._stop_cb
-            observed = (self.accepted, self.trials)
         if fire is not None:
             fire()
-        if self._observer is not None:
-            self._observer(*observed)
 
 
 _ROUTER_SENTINEL = None

@@ -27,7 +27,10 @@ labels are used.  Determinism contract: a factory called twice with the same
 arguments must build value-identical workloads (same graph wiring, states,
 and labels), so a spec resolves to decision-identical plans in every
 process.  Every generator in :mod:`repro.graphs` satisfies this by taking
-explicit seeds.
+explicit seeds.  The named workloads
+(:data:`repro.parallel.factories.WORKLOADS`) are such factories: the sized
+builders of the verdict-spec registry (:mod:`repro.engine.specs`) plus the
+hook-less ``noisy_spanning_tree``.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ class PlanSpec:
     ) -> "PlanSpec":
         """Build a spec from a callable (or reference) plus its arguments.
 
-        >>> PlanSpec.of("repro.parallel.factories:compiled_spanning_tree",
+        >>> PlanSpec.of("repro.engine.specs:build_spanning_tree",
         ...             node_count=16).factory
-        'repro.parallel.factories:compiled_spanning_tree'
+        'repro.engine.specs:build_spanning_tree'
         """
         if callable(factory):
             factory = _factory_path(factory)

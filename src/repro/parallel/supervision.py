@@ -8,7 +8,7 @@ or waits forever.  This module adds the layer that makes shard execution
 
 - **Deadlines.** Every shard's progress-channel messages double as
   heartbeats (the streamed partials of PR 5, plus an explicit liveness ping
-  at each chunk boundary — the ``heartbeat`` hook of
+  at each chunk boundary, sent from the ``should_stop`` poll of
   :func:`~repro.engine.montecarlo.estimate_acceptance_fast`).  A shard that
   produces no heartbeat within ``shard_timeout`` is declared failed, its
   dispatch is stopped cooperatively, and on the process backend a worker

@@ -19,6 +19,7 @@ import pickle
 
 import pytest
 
+from repro.engine.specs import build_spanning_tree
 from repro.parallel import (
     Campaign,
     CampaignAllocator,
@@ -39,7 +40,6 @@ from repro.parallel import (
 )
 from repro.parallel.cli import main as cli_main
 from repro.parallel.controller import observed_halfwidth, validate_halfwidth
-from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.spec import PlanSpec
 from repro.simulation.metrics import AcceptanceEstimate, wilson_interval
 
@@ -178,15 +178,6 @@ class TestStreamingBaseline:
             stop_halfwidth=0.2, min_trials=100, baseline=(50, 50)
         )
         assert not aggregator.satisfied
-
-    def test_observer_sees_cumulative_totals(self):
-        seen = []
-        aggregator = StreamingAggregator(
-            baseline=(3, 10), observer=lambda a, t: seen.append((a, t))
-        )
-        aggregator.update(0, 2, 5)
-        aggregator.update(1, 1, 4)
-        assert seen == [(5, 15), (6, 19)]
 
     @pytest.mark.parametrize("baseline", [(5, 3), (-1, 0), (0, -2)])
     def test_invalid_baseline_rejected(self, baseline):
@@ -490,7 +481,7 @@ class TestAdaptiveCampaign:
             cells=(
                 Cell(
                     name="bad",
-                    spec=PlanSpec.of(compiled_spanning_tree, bogus_size=3),
+                    spec=PlanSpec.of(build_spanning_tree, bogus_size=3),
                     trials=64,
                     seed=0,
                 ),

@@ -111,7 +111,7 @@ def hook_workloads():
     a scheme directly.
     """
     rows = [
-        (spec.name, scheme_for(spec), clean_configuration(spec, seed=11), spec.randomness)
+        (spec.name, scheme_for(spec, 11), clean_configuration(spec, seed=11), spec.randomness)
         for spec in iter_specs()
     ]
     rows.append(

@@ -15,4 +15,4 @@ MODULES = ("repro.parallel.spec", "repro.parallel.factories", "repro.engine.spec
 @pytest.mark.parametrize("name", MODULES)
 def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
-    assert result.failed == 0, result
+    assert result.attempted > 0 and result.failed == 0, result

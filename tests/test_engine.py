@@ -372,9 +372,9 @@ class TestRemovedRngModes:
 
     def test_plan_spec_and_workload_spec_reject_fast(self):
         from repro.parallel import PlanSpec, workload_spec
-        from repro.parallel.factories import compiled_spanning_tree
+        from repro.engine.specs import build_spanning_tree
 
-        self._rejects_fast(lambda: PlanSpec.of(compiled_spanning_tree, rng_mode="fast"))
+        self._rejects_fast(lambda: PlanSpec.of(build_spanning_tree, rng_mode="fast"))
         self._rejects_fast(lambda: workload_spec("spanning-tree", rng_mode="fast"))
 
 

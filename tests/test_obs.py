@@ -381,14 +381,13 @@ class TestRunReportTiming:
 
         ticks = iter(x * 0.01 for x in range(10_000))
         clock = lambda: next(ticks)  # noqa: E731
-        spec = PlanSpec.of("repro.parallel.factories:compiled_spanning_tree", node_count=8)
+        spec = PlanSpec.of("repro.engine.specs:build_spanning_tree", node_count=8)
         plan = spec.resolve()
         shards = ShardPlanner(shard_count=1).plan(32, 1)
         options = {
             "seed": 0,
             "rng_mode": "vector",
             "chunk_size": 16,
-            "vectorize": None,
             "heartbeat": True,
         }
         payloads = [(plan, shard, options) for shard in shards]

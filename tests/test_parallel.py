@@ -26,6 +26,7 @@ import random
 import pytest
 
 from repro.engine import PlanCache, estimate_acceptance_fast
+from repro.engine.specs import build_spanning_tree
 from repro.parallel import (
     Campaign,
     Cell,
@@ -43,7 +44,7 @@ from repro.parallel import (
     workload_spec,
 )
 from repro.parallel.cli import main as cli_main
-from repro.parallel.factories import WORKLOADS, compiled_spanning_tree
+from repro.parallel.factories import WORKLOADS
 from repro.parallel.spec import clear_process_caches, resolve_factory
 from repro.simulation.metrics import AcceptanceEstimate
 
@@ -210,12 +211,12 @@ class TestMerge:
 
 class TestPlanSpec:
     def test_of_accepts_callable_and_string(self):
-        a = PlanSpec.of(compiled_spanning_tree, node_count=12)
+        a = PlanSpec.of(build_spanning_tree, node_count=12)
         b = PlanSpec.of(
-            "repro.parallel.factories:compiled_spanning_tree", node_count=12
+            "repro.engine.specs:build_spanning_tree", node_count=12
         )
         assert a == b
-        assert resolve_factory(a.factory) is compiled_spanning_tree
+        assert resolve_factory(a.factory) is build_spanning_tree
 
     def test_rejects_non_importable_factory(self):
         def local_factory():  # pragma: no cover - never called
@@ -253,6 +254,15 @@ class TestPlanSpec:
     def test_workload_spec_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             workload_spec("no-such-workload")
+
+    def test_workloads_are_derived_from_the_spec_registry(self):
+        from repro.engine.specs import spec_names
+
+        assert set(WORKLOADS) == set(spec_names()) | {
+            "k-flow", "boosted-spanning-tree", "noisy-spanning-tree",
+        }
+        assert WORKLOADS["k-flow"] == WORKLOADS["flow"]
+        assert WORKLOADS["boosted-spanning-tree"] == WORKLOADS["boosting"]
 
     def test_registry_factories_all_resolve(self):
         for name in WORKLOADS:
@@ -749,6 +759,30 @@ class TestCli:
             )
         message = str(info.value)
         assert "'fast'" in message and "compat" in message and "vector" in message
+
+    def test_rng_mode_defaults_to_each_workloads_own_mode(self, capsys):
+        """The documented noisy campaign runs: without --rng-mode(s) each
+        workload gets its own mode, vector for spec-backed workloads and
+        compat for the hook-less noisy one (docs/parallel.md)."""
+        assert cli_main(
+            ["campaign", "--workloads", "spanning-tree,noisy-spanning-tree",
+             "--trials", "64", "--global-budget", "20000",
+             "--target-halfwidth", "0.02", "--chunk-policy", "geometric"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "spanning-tree/vector/t64/s0" in out
+        assert "noisy-spanning-tree/compat/t64/s0" in out
+        assert cli_main(
+            ["estimate", "--workload", "noisy-spanning-tree", "--trials", "64"]
+        ) == 0
+        assert "noisy-spanning-tree [compat]" in capsys.readouterr().out
+        # an explicit vector request on the hook-less workload still fails
+        with pytest.raises(SystemExit) as info:
+            cli_main(
+                ["estimate", "--workload", "noisy-spanning-tree", "--trials", "8",
+                 "--rng-mode", "vector"]
+            )
+        assert "requires the engine hook fast path" in str(info.value)
 
     def test_campaign_cell_parallelism_and_streaming_flags(self, tmp_path, capsys):
         out_path = str(tmp_path / "stream.jsonl")

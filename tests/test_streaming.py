@@ -32,6 +32,7 @@ import time
 import pytest
 
 from repro.engine import estimate_acceptance_fast
+from repro.engine.specs import build_spanning_tree
 from repro.parallel import (
     Campaign,
     Cell,
@@ -43,7 +44,6 @@ from repro.parallel import (
     run_campaign,
     workload_spec,
 )
-from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.progress import RunHandle, StopToken
 from repro.parallel.spec import clear_process_caches
 from repro.simulation.metrics import AcceptanceEstimate
@@ -402,7 +402,7 @@ class TestConcurrentCells:
         # scheduler thread and must surface in the caller.
         bad = Cell(
             name="bad",
-            spec=PlanSpec.of(compiled_spanning_tree, bogus_size=3),
+            spec=PlanSpec.of(build_spanning_tree, bogus_size=3),
             trials=64,
         )
         campaign = Campaign(name="fails", cells=(good, bad))
@@ -481,7 +481,7 @@ class TestStopEpoch:
         executor = SerialExecutor()
         options = {
             "seed": SEED, "rng_mode": None,
-            "chunk_size": 64, "vectorize": None,
+            "chunk_size": 64,
         }
         shards = ShardPlanner(shard_count=4).plan(256)
         handle = executor.start_run(
@@ -622,7 +622,6 @@ class TestProcessHandleRelease:
             "seed": SEED,
             "rng_mode": spec.rng_mode,
             "chunk_size": 64,
-            "vectorize": None,
         }
         shards = ShardPlanner(shard_count=shard_count).plan(trials)
         return [(spec, shard, options) for shard in shards]

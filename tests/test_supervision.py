@@ -32,6 +32,7 @@ import time
 import pytest
 
 from repro.engine import estimate_acceptance_fast
+from repro.engine.specs import build_spanning_tree
 from repro.parallel import (
     Campaign,
     Cell,
@@ -50,7 +51,6 @@ from repro.parallel import (
     run_campaign,
     workload_spec,
 )
-from repro.parallel.factories import compiled_spanning_tree
 from repro.parallel.spec import clear_process_caches
 
 TRIALS = 300
@@ -92,7 +92,7 @@ def flaky_spanning_tree(**kwargs):
     if _FLAKY["remaining"] > 0:
         _FLAKY["remaining"] -= 1
         raise RuntimeError("transient workload failure")
-    return compiled_spanning_tree(**kwargs)
+    return build_spanning_tree(**kwargs)
 
 
 @pytest.fixture(autouse=True)
@@ -462,7 +462,7 @@ def _campaign_with_poisoned_cell():
     good = Cell(name="good", spec=small_spec(), trials=64, seed=SEED)
     bad = Cell(
         name="bad",
-        spec=PlanSpec.of(compiled_spanning_tree, bogus_size=3),
+        spec=PlanSpec.of(build_spanning_tree, bogus_size=3),
         trials=64,
         seed=SEED,
     )

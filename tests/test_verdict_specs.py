@@ -51,7 +51,9 @@ from repro.engine import (
     VerdictSpec,
     VerificationPlan,
     build_scheme,
+    clean_configuration,
     estimate_acceptance_fast,
+    fault_configuration,
     get_spec,
     iter_specs,
     register,
@@ -90,14 +92,6 @@ EXPECTED_SCHEMES = frozenset(
         "vertex-connectivity",
     }
 )
-
-#: registry name -> parallel-factories workload name, where they differ
-#: (the factories predate the registry and keep their CLI-facing names).
-SPEC_TO_WORKLOAD = {
-    "fingerprint": "spanning-tree",
-    "boosting": "boosted-spanning-tree",
-    "flow": "k-flow",
-}
 
 MATRIX_TRIALS = 6
 MASTER_SEEDS = (3, 11)
@@ -147,23 +141,22 @@ class TestRegistryContract:
         """Every spec ships a same-node-set violating configuration — the
         matrix's state-fault column is total by construction."""
         spec = get_spec(name)
-        clean = spec.workload(0)
-        fault = spec.fault(0)
-        assert fault is not None, name
+        clean = clean_configuration(spec, 0)
+        fault = fault_configuration(spec, 0)
         assert set(fault.graph.nodes) == set(clean.graph.nodes), name
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_spec_has_a_parallel_workload_factory(self, name):
-        """Campaign sweeps can shard every registered scheme: each spec maps
-        to a :data:`repro.parallel.factories.WORKLOADS` entry running under
-        the same randomness mode."""
+        """Campaign sweeps can shard every registered scheme: each spec is
+        a :data:`repro.parallel.factories.WORKLOADS` entry under its own
+        name, running its own builder under the same randomness mode."""
         from repro.parallel.factories import WORKLOADS, workload_spec
 
         spec = get_spec(name)
-        workload = SPEC_TO_WORKLOAD.get(name, name)
-        assert workload in WORKLOADS, (name, workload)
-        assert WORKLOADS[workload][1] == spec.randomness, name
-        assert workload_spec(workload).randomness == spec.randomness
+        assert WORKLOADS[name] == (spec.build, spec.randomness), name
+        plan_spec = workload_spec(name)
+        assert plan_spec.randomness == spec.randomness
+        assert plan_spec.rng_mode == "vector"
 
 
 class TestDifferentialMatrix:
@@ -350,27 +343,35 @@ class TestRegistryProperties:
             register(get_spec("fingerprint"))
 
     def test_spec_validation(self):
-        donor = get_spec("fingerprint")
+        donor = get_spec("boosting")
         with pytest.raises(ValueError, match="unknown kernel family"):
-            VerdictSpec(name="x", family="nope", workload=donor.workload, base=donor.base)
-        with pytest.raises(ValueError, match="exactly one of"):
-            VerdictSpec(name="x", family="fingerprint", workload=donor.workload)
-        with pytest.raises(ValueError, match="exactly one of"):
+            VerdictSpec(name="x", family="nope", build=donor.build, fault=donor.fault)
+        with pytest.raises(ValueError, match="matrix_sizes do not fit build_boosting"):
             VerdictSpec(
                 name="x",
-                family="fingerprint",
-                workload=donor.workload,
-                base=donor.base,
-                scheme=donor.base,
+                family="threshold",
+                build=donor.build,
+                fault=donor.fault,
+                matrix_sizes={"repetitions": 2},  # the builder calls it t
             )
-        with pytest.raises(ValueError, match="repetitions"):
+        with pytest.raises(ValueError, match="matrix_sizes do not fit"):
             VerdictSpec(
                 name="x",
-                family="fingerprint",
-                workload=donor.workload,
-                base=donor.base,
-                repetitions=0,
+                family="threshold",
+                build=donor.build,
+                fault=donor.fault,
+                matrix_sizes={"seed": 3},  # the matrix chooses the seed
             )
+
+    def test_matrix_sizes_complete_the_builder_defaults(self):
+        spec = get_spec("boosting")
+        assert spec.sizes(seed=5) == {
+            "node_count": 14, "extra_edges": 4, "seed": 5, "t": 2,
+        }
+        assert build_scheme(spec).repetitions == 2
+        assert spec.build()[0].repetitions == 3  # the campaign default
+        assert get_spec("cycle-length").build()[0].base.c == 8
+        assert scheme_for(get_spec("cycle-length")).base.c == 4
 
     def test_family_randomness(self):
         assert get_spec("mis").randomness == "shared"
@@ -389,6 +390,20 @@ class TestRegistryProperties:
         spec = get_spec("coloring")
         assert scheme_for(spec) is scheme_for(spec)
         assert build_scheme(spec) is not build_scheme(spec)
+
+    @pytest.mark.parametrize("name", ("hamiltonicity", "cycle-length"))
+    def test_scheme_for_memo_is_per_seed(self, name):
+        """Witness schemes prove only the configuration built at their own
+        seed, so the memo never hands one seed's scheme to another seed."""
+        spec = get_spec(name)
+        assert scheme_for(spec, 0) is not scheme_for(spec, 1)
+        for seed in (0, 1, 2):
+            scheme = scheme_for(spec, seed)
+            configuration = clean_configuration(spec, seed)
+            estimate = estimate_acceptance_fast(
+                VerificationPlan.compile(scheme, configuration), 8, seed=seed
+            )
+            assert estimate.probability == 1.0, (name, seed)
 
     def test_plan_cache_keys_on_spec_identity(self):
         """'fingerprint' and 'spanning-tree' wrap the *same* base parser

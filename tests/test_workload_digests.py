@@ -145,12 +145,15 @@ MATRIX_DIGESTS = {
     "bipartiteness": "ebb54a487860731f",
     "boosting": "8bb9630653659d8a",
     "coloring": "8c025a58b0627662",
-    "cycle-length": "08798a24f157ab73",
+    # Labels from the planted witness the builder threads into the scheme
+    # (they came from the prover's own cycle search before the registry
+    # merge); configurations unchanged.
+    "cycle-length": "e7cc6f7afd95ef63",
     "distance": "da4d0838b8c9ddbd",
     "eulerian": "644235a9dc640b1c",
     "fingerprint": "e0a3f726d18adb8d",
     "flow": "6f069ebcb6ab2eee",
-    "hamiltonicity": "3e3c28b6382535a3",
+    "hamiltonicity": "985833429e8edd84",  # planted witness, as cycle-length
     "leader": "ef6a75b286718caa",
     "mis": "90d47dfbb6d16877",
     "mst": "8fd0cc8b0be4f406",
