@@ -859,12 +859,11 @@ def estimate_acceptance_sharded(
         in_process = getattr(instance, "in_process", True)
         rng_mode = target.rng_mode
         shard_target: Union[PlanSpec, VerificationPlan] = target
-        if isinstance(target, PlanSpec):
-            if in_process:
-                # Same process: resolve once and share the read-only plan.
-                shard_target = target.resolve().prepare()
-        else:
+        if not isinstance(target, PlanSpec):
             shard_target = target.prepare()
+        elif in_process:
+            # Same process: resolve once and share the read-only plan.
+            shard_target = target.resolve().prepare()
 
         shards = planner.plan(trials, instance.workers)
         if first_trial:

@@ -50,17 +50,17 @@ def noisy_spanning_tree(
 
 
 #: CLI names that predate the spec registry -> the spec they run
-SPEC_ALIASES = {"k-flow": "flow", "boosted-spanning-tree": "boosting"}
+_ALIASES = {"k-flow": "flow", "boosted-spanning-tree": "boosting"}
 
 #: every workload name the spec registry backs -> its spec
-SPEC_WORKLOADS: Dict[str, VerdictSpec] = {
+_SPEC_BACKED: Dict[str, VerdictSpec] = {
     **{spec.name: spec for spec in iter_specs()},
-    **{alias: get_spec(name) for alias, name in SPEC_ALIASES.items()},
+    **{alias: get_spec(name) for alias, name in _ALIASES.items()},
 }
 
 # name -> (builder, randomness the scheme runs under)
 WORKLOADS: Dict[str, Tuple[Callable, str]] = {
-    **{name: (spec.build, spec.randomness) for name, spec in SPEC_WORKLOADS.items()},
+    **{name: (spec.build, spec.randomness) for name, spec in _SPEC_BACKED.items()},
     "noisy-spanning-tree": (noisy_spanning_tree, "edge"),
 }
 
@@ -72,7 +72,7 @@ def default_rng_mode(name: str) -> str:
     coins); ``compat`` for ``noisy-spanning-tree``, whose generic plan path
     has no vector mode.
     """
-    return "vector" if name in SPEC_WORKLOADS else "compat"
+    return "vector" if name in _SPEC_BACKED else "compat"
 
 
 def workload_spec(name: str, rng_mode: Optional[str] = None, **kwargs) -> PlanSpec:

@@ -65,21 +65,16 @@ def scheme_chain(scheme):
     return tuple(chain)
 
 
-def workload_digest(scheme, *configurations, labels=None):
-    """sha256 over the scheme chain, the configurations and the labels.
-
-    ``labels`` defaults to the prover's honest labels on the first
-    configuration (the matrix replays those against the fault one).
-    """
-    if labels is None:
-        labels = scheme.prover(configurations[0])
+def workload_digest(scheme, *configurations):
+    """sha256 over the scheme chain, the configurations and the honest
+    labels on the first configuration (the matrix replays those against the
+    fault one)."""
+    labels = scheme.prover(configurations[0])
     payload = (
         scheme_chain(scheme),
         tuple(_canonical(configuration_key(c)) for c in configurations),
         tuple(
-            sorted(
-                ((repr(node), label.value, label.length) for node, label in labels.items()),
-            )
+            sorted((repr(node), label.value, label.length) for node, label in labels.items())
         ),
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
@@ -188,13 +183,14 @@ def all_digests():
     }
 
 
-@pytest.mark.parametrize("hash_seed", ("0", "3"))
+@pytest.mark.parametrize("hash_seed", ("0", "2"))
 def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
     """A fresh interpreter under another ``PYTHONHASHSEED`` agrees.
 
-    Seeds 0 and 3 iterate string-keyed sets in different orders; the
-    vertex-connectivity prover used to pick different augmenting paths
-    under the two.
+    Seeds 0 and 2 iterate string-keyed sets in different orders; before
+    ``max_flow`` iterated its BFS neighbours in insertion order, the
+    vertex-connectivity prover picked different augmenting paths (hence
+    different labels) under the two.
     """
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
